@@ -99,6 +99,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise DmdpError(f"config missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DmdpError(f"malformed config: {exc}") from exc
         cfg.validate()
         return cfg
 

@@ -157,7 +157,7 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
     r = np.array(reward, dtype=float)
     if r.shape != (n_pairs,):
         raise ShapeMismatch(f"reward must have length {n_pairs}, got {r.shape}")
-    if np.any(r < 0) or np.any(r > 1):
+    if not np.all((r >= 0) & (r <= 1)):
         raise RewardOutOfRange("rewards must lie in [0, 1]")
 
     gamma = float(discount)
@@ -265,9 +265,9 @@ def check_distribution(weights, size: int, what: str = "distribution") -> np.nda
     w = np.asarray(weights, dtype=float)
     if w.shape != (size,):
         raise ShapeMismatch(f"{what} must have length {size}")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise NotStochastic(f"{what} entries must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
+    if not (abs(w.sum() - 1.0) <= 1e-9):
         raise NotStochastic(f"{what} must sum to 1, got {w.sum()!r}")
     return w
 

@@ -12,7 +12,15 @@ baseline. Per iteration it performs, in order:
 Each iteration consumes exactly two generative-model transition samples.
 The dual-side estimator reuses the whole sample history re-weighted at the
 current value iterate, which shrinks its variance like 1/t; the sufficient
-statistic is the per-triple count matrix, not a sample list.
+statistic is the per-triple count matrix C, not a sample list.
+
+A step costs O(N), not O(N S): it changes at most three coordinates J of v,
+so the engine keeps Cv = C @ v (averaged estimator) and Ev = E @ v (with a
+prediction E) as running state. A sample (i, j) adds v[j] to Cv[i]; the value
+step adds C[:, J] @ dv_J and E[:, J] @ dv_J. Both are recomputed exactly every
+REFRESH_PERIOD steps, which bounds floating-point drift on a schedule that
+does not depend on the horizon, so run(T) is a bitwise prefix of run(T' > T).
+The fresh estimator without a prediction keeps neither product.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -27,15 +35,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DmdpInstance, Policy, PredictionMatrix, build_policy, check_distribution
+from .core import (
+    DmdpInstance,
+    Policy,
+    PredictionMatrix,
+    ShapeMismatch,
+    build_policy,
+    check_distribution,
+)
 from .exact import policy_evaluation
 from .minimax import duality_gap
 from .sampling import (
     SampleBudgetLedger,
     make_streams,
-    sample_categorical,
+    sample_cumulative,
     sample_transition,
 )
+
+# Steps between exact recomputations of the running products C @ v and E @ v.
+REFRESH_PERIOD = 4096
 
 
 @dataclass(frozen=True)
@@ -73,9 +91,14 @@ def mu_gradient_from_counts(instance, pair_counts, triple_counts, t, v):
     Equivalent to averaging N (v_i - gamma v_j - r_ia) e_ia over all t past
     uniform-pair samples, with the counts as sufficient statistic.
     """
+    return _averaged_gradient(instance, pair_counts, triple_counts @ v, t, v)
+
+
+def _averaged_gradient(instance, pair_counts, counts_v, t, v):
+    """mu_gradient_from_counts given the product counts_v = triple_counts @ v."""
     scale = instance.num_pairs / t
     base = pair_counts * (v[instance.pair_state] - instance.reward)
-    return scale * (base - instance.discount * (triple_counts @ v))
+    return scale * (base - instance.discount * counts_v)
 
 
 def fresh_mu_gradient(instance, pair, next_state, v):
@@ -91,11 +114,12 @@ def fresh_mu_gradient(instance, pair, next_state, v):
 def predicted_mu_gradient(instance, prediction: PredictionMatrix, v):
     """Deterministic proxy for the next dual gradient, from the prediction."""
     v = np.asarray(v, dtype=float)
-    return (
-        v[instance.pair_state]
-        - instance.discount * (prediction.entries @ v)
-        - instance.reward
-    )
+    return _dual_gradient(instance, v, prediction.entries @ v)
+
+
+def _dual_gradient(instance, v, next_v):
+    """v_i - gamma next_v_ia - r_ia, given the expected next values next_v."""
+    return v[instance.pair_state] - instance.discount * next_v - instance.reward
 
 
 def v_learning_rate(num_states, gamma, grad_sq_sum):
@@ -120,7 +144,7 @@ def update_v(v, gradient, eta, radius):
     """Projected gradient step: clamp each coordinate to [-radius, radius]."""
     if eta is None:
         return v.copy()
-    return np.clip(v - eta * gradient, -radius, radius)
+    return np.minimum(np.maximum(v - eta * gradient, -radius), radius)
 
 
 def update_mu(mu, combined_gradient, eta):
@@ -186,28 +210,35 @@ def run(
     if mu_estimator not in ("averaged", "fresh"):
         raise ValueError(f"unknown mu_estimator {mu_estimator!r}")
     q = check_distribution(q, instance.num_states, "q")
+    if prediction is not None and prediction.entries.shape != instance.transition.shape:
+        raise ShapeMismatch(
+            f"prediction must be {instance.transition.shape}, "
+            f"got {prediction.entries.shape}"
+        )
 
     num_states = instance.num_states
     num_pairs = instance.num_pairs
     gamma = instance.discount
     radius = instance.value_radius
     pair_state = instance.pair_state
-    reward = instance.reward
+    averaged = mu_estimator == "averaged"
 
     streams = make_streams(seed)
     v_stream = streams["v-side"]
     mu_stream = streams["mu-side"]
     q_stream = streams["initial-state"]
     ledger = SampleBudgetLedger.for_instance(instance)
+    q_cumsum = np.cumsum(q)
+    pair_cumsum = np.cumsum(np.full(num_pairs, 1.0 / num_pairs))
 
     v = np.zeros(num_states)
     mu = np.full(num_pairs, 1.0 / num_pairs)
-    uniform_pairs = np.full(num_pairs, 1.0 / num_pairs)
-    g_bar = (
-        predicted_mu_gradient(instance, prediction, v)
-        if prediction is not None
-        else np.zeros(num_pairs)
-    )
+    if prediction is not None:
+        E = prediction.entries
+        Ev = E @ v
+        g_bar = _dual_gradient(instance, v, Ev)
+    else:
+        g_bar = np.zeros(num_pairs)
 
     sum_v = np.zeros(num_states)
     sum_mu = np.zeros(num_pairs)
@@ -220,40 +251,51 @@ def run(
     trace = []
     start = time.perf_counter()
 
-    # Dual-side sample memory: only mu-side draws enter these counts.
-    mem_pair_counts = np.zeros(num_pairs, dtype=np.int64)
-    mem_triple_counts = np.zeros((num_pairs, num_states), dtype=np.int64)
+    # Dual-side sample memory: only mu-side draws enter these counts. C is
+    # float and column-major, so C[:, J] is a contiguous gather; Cv = C @ v.
+    if averaged:
+        pair_counts = np.zeros(num_pairs)
+        C = np.zeros((num_pairs, num_states), order="F")
+        Cv = np.zeros(num_pairs)
 
     for t in range(1, horizon + 1):
         sum_v += v
         sum_mu += mu
 
-        # Value side: sparse stochastic gradient, projected step.
-        pair = sample_categorical(mu, v_stream)
+        # Value side: sparse stochastic gradient, projected step on its support J.
+        pair = sample_cumulative(mu.cumsum(), v_stream)
         next_state = sample_transition(instance, pair, v_stream, ledger)
-        init_state = sample_categorical(q, q_stream)
+        init_state = sample_cumulative(q_cumsum, q_stream)
         g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
         v_grad_sq_sum += float(g_v @ g_v)
         if fixed_rates is not None:
             eta_v = fixed_rates[0]
         else:
             eta_v = v_learning_rate(num_states, gamma, v_grad_sq_sum)
-        v_next = update_v(v, g_v, eta_v, radius)
+        J = g_v.nonzero()[0]
+        old_v_J = v[J]
+        v_J = update_v(old_v_J, g_v[J], eta_v, radius)
+        dv_J = v_J - old_v_J
 
         # Dual side: one new uniform pair, estimator at the current v.
-        pair2 = sample_categorical(uniform_pairs, mu_stream)
+        pair2 = sample_cumulative(pair_cumsum, mu_stream)
         next2 = sample_transition(instance, pair2, mu_stream, ledger)
-        mem_pair_counts[pair2] += 1
-        mem_triple_counts[pair2, next2] += 1
-        if mu_estimator == "averaged":
-            g_mu = mu_gradient_from_counts(
-                instance, mem_pair_counts, mem_triple_counts, t, v
-            )
+        if averaged:
+            pair_counts[pair2] += 1.0
+            C[pair2, next2] += 1.0
+            Cv[pair2] += v[next2]
+            g_mu = _averaged_gradient(instance, pair_counts, Cv, t, v)
         else:
             g_mu = fresh_mu_gradient(instance, pair2, next2, v)
 
+        # Move v to v_next and the running products with it.
+        v[J] = v_J
+        refresh = t % REFRESH_PERIOD == 0
+        if averaged:
+            Cv = C @ v if refresh else Cv + C[:, J] @ dv_J
         if prediction is not None:
-            g_bar_next = predicted_mu_gradient(instance, prediction, v_next)
+            Ev = E @ v if refresh else Ev + E[:, J] @ dv_J
+            g_bar_next = _dual_gradient(instance, v, Ev)
         else:
             g_bar_next = g_bar  # stays zero
         deviation = g_mu - g_bar
@@ -263,9 +305,7 @@ def run(
         else:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
         mu = update_mu(mu, deviation + g_bar_next, eta_mu)
-
         g_bar = g_bar_next
-        v = v_next
 
         if t in checkpoint_set:
             v_bar = sum_v / t

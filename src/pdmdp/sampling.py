@@ -8,11 +8,13 @@ count against the budget.
 
 Streams are named substreams of one master seed, built on a counter-based
 generator, so the draw sequence of one stream is independent of how calls
-to the other streams are interleaved.
+to the other streams are interleaved. A stream draws its uniforms in blocks
+of BLOCK_SIZE, which yields the same doubles as one generator call per draw.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from .core import DegenerateWeights, DmdpInstance, NotStochastic, ShapeMismatch
 
 STREAM_IDS = {"v-side": 0, "mu-side": 1, "initial-state": 2}
+BLOCK_SIZE = 256
 
 
 class SeededStream:
@@ -32,9 +35,13 @@ class SeededStream:
         self.name = name
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(STREAM_IDS[name],))
         self._rng = np.random.Generator(np.random.Philox(ss))
+        self._block = []  # the rest of the current block, next draw last
 
     def uniform(self) -> float:
-        return self._rng.random()
+        """Next draw, served from a block of BLOCK_SIZE generator draws."""
+        if not self._block:
+            self._block = self._rng.random(BLOCK_SIZE).tolist()[::-1]
+        return self._block.pop()
 
 
 def make_streams(seed: int) -> dict:
@@ -64,10 +71,13 @@ class SampleBudgetLedger:
         self.triple_counts[pair, next_state] += 1
 
 
-def _inverse_cdf(cumulative: np.ndarray, u: float) -> int:
-    """Index of the first cumulative weight exceeding u * total mass."""
-    total = cumulative[-1]
-    idx = int(np.searchsorted(cumulative, u * total, side="right"))
+def sample_cumulative(cumulative, stream: SeededStream) -> int:
+    """Index of the first cumulative weight exceeding u * total mass.
+
+    The unchecked inverse-CDF primitive: cumulative must be the running sum
+    of nonnegative weights with a positive total.
+    """
+    idx = bisect.bisect_right(cumulative, stream.uniform() * cumulative[-1])
     return min(idx, len(cumulative) - 1)
 
 
@@ -79,15 +89,15 @@ def sample_categorical(weights, stream: SeededStream) -> int:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ShapeMismatch("weights must be a vector")
-    if np.any(w < 0):
-        raise NotStochastic("weights must be nonnegative")
+    if not np.all(w >= 0):
+        raise NotStochastic("weights must be nonnegative and not NaN")
     cumulative = np.cumsum(w)
     total = cumulative[-1]
     if total <= 0.0:
         raise DegenerateWeights("all categorical weights are zero")
-    if abs(total - 1.0) > 1e-9:
+    if not (abs(total - 1.0) <= 1e-9):
         raise NotStochastic(f"weights must sum to 1, got {total!r}")
-    return _inverse_cdf(cumulative, stream.uniform())
+    return sample_cumulative(cumulative, stream)
 
 
 def sample_transition(
@@ -97,6 +107,6 @@ def sample_transition(
     ledger: SampleBudgetLedger,
 ) -> int:
     """One generative-model draw j ~ p(.|pair); increments the ledger."""
-    next_state = _inverse_cdf(instance.row_cumsum[pair], stream.uniform())
+    next_state = sample_cumulative(instance.row_cumsum[pair], stream)
     ledger.record(pair, next_state)
     return next_state

@@ -114,6 +114,12 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", algorithm="bogus")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_wrong_json_types_exit_2(self, tmp_path, capsys):
+        for overrides in ({"seeds": None}, {"horizons": "abc"}, {"seeds": [[0]]}):
+            cfg = write_config(tmp_path / "cfg.json", **overrides)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+            assert "error:" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3
 

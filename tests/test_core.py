@@ -14,6 +14,7 @@ from pdmdp.core import (
     build_instance,
     build_policy,
     build_prediction,
+    check_distribution,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -101,6 +102,14 @@ class TestNanRejected:
     def test_build_policy(self):
         with pytest.raises(NotStochastic):
             build_policy(tiny_instance(), [np.nan])
+
+    def test_reward(self):
+        with pytest.raises(RewardOutOfRange):
+            build_instance(1, [1], [[1.0]], [np.nan], 0.5)
+
+    def test_check_distribution(self):
+        with pytest.raises(NotStochastic):
+            check_distribution([np.nan, 1.0], 2)
 
 
 def test_policy_sum_judged_exactly():

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from pdmdp.core import build_instance, build_prediction
-from pdmdp.exact import occupancy_measure, value_iteration
-from pdmdp.minimax import exact_gradients
+from pdmdp.core import (
+    NotStochastic,
+    PredictionMatrix,
+    ShapeMismatch,
+    build_instance,
+    build_prediction,
+    check_distribution,
+)
+from pdmdp.exact import occupancy_measure, policy_evaluation, value_iteration
+from pdmdp.instances import random_instance
+from pdmdp.minimax import duality_gap, exact_gradients
 from pdmdp.optimistic_pd import (
     default_checkpoints,
     extract_policy,
@@ -17,6 +25,77 @@ from pdmdp.optimistic_pd import (
     update_v,
     v_learning_rate,
 )
+from pdmdp.sampling import (
+    SampleBudgetLedger,
+    make_streams,
+    sample_categorical,
+    sample_transition,
+)
+from pdmdp.smd import run_smd
+
+
+def dense_reference_run(
+    instance, prediction, q, horizon, seed, checkpoints, mu_estimator, fixed_rates
+):
+    """The engine loop written plainly, as the oracle for run().
+
+    Every step recomputes both N x S products and the full value step, and
+    every categorical draw is validated. Returns (step, gap, value, v_bar,
+    mu_bar) per checkpoint.
+    """
+    q = check_distribution(q, instance.num_states, "q")
+    n, s = instance.num_pairs, instance.num_states
+    gamma, radius = instance.discount, instance.value_radius
+    streams = make_streams(seed)
+    ledger = SampleBudgetLedger.for_instance(instance)
+    v, mu = np.zeros(s), np.full(n, 1.0 / n)
+    zeros = np.zeros(n)
+    g_bar = zeros if prediction is None else predicted_mu_gradient(instance, prediction, v)
+    sum_v, sum_mu = np.zeros(s), np.zeros(n)
+    v_sq = mu_sq = 0.0
+    pair_counts = np.zeros(n, dtype=np.int64)
+    triple_counts = np.zeros((n, s), dtype=np.int64)
+    rows = []
+    for t in range(1, horizon + 1):
+        sum_v += v
+        sum_mu += mu
+        pair = sample_categorical(mu, streams["v-side"])
+        nxt = sample_transition(instance, pair, streams["v-side"], ledger)
+        init = sample_categorical(q, streams["initial-state"])
+        g_v = sampled_v_gradient(s, gamma, init, nxt, instance.pair_state[pair])
+        v_sq += float(g_v @ g_v)
+        eta_v = fixed_rates[0] if fixed_rates else v_learning_rate(s, gamma, v_sq)
+        v_next = update_v(v, g_v, eta_v, radius)
+        pair2 = sample_categorical(np.full(n, 1.0 / n), streams["mu-side"])
+        nxt2 = sample_transition(instance, pair2, streams["mu-side"], ledger)
+        pair_counts[pair2] += 1
+        triple_counts[pair2, nxt2] += 1
+        if mu_estimator == "averaged":
+            g_mu = mu_gradient_from_counts(instance, pair_counts, triple_counts, t, v)
+        else:
+            g_mu = fresh_mu_gradient(instance, pair2, nxt2, v)
+        g_bar_next = (
+            zeros if prediction is None else predicted_mu_gradient(instance, prediction, v_next)
+        )
+        deviation = g_mu - g_bar
+        mu_sq += float(np.abs(deviation).max()) ** 2
+        eta_mu = fixed_rates[1] if fixed_rates else mu_learning_rate(n, mu_sq)
+        mu = update_mu(mu, deviation + g_bar_next, eta_mu)
+        g_bar, v = g_bar_next, v_next
+        if t in checkpoints:
+            v_bar, mu_bar = sum_v / t, sum_mu / t
+            value = q @ policy_evaluation(instance, extract_policy(instance, mu_bar))
+            rows.append((t, duality_gap(instance, q, v_bar, mu_bar), value, v_bar, mu_bar))
+    return rows
+
+
+def assert_matches_reference(out, reference, rtol):
+    assert [p.step for p in out.trace] == [row[0] for row in reference]
+    for point, (_, gap, value, v_bar, mu_bar) in zip(out.trace, reference):
+        assert point.gap == pytest.approx(gap, rel=rtol, abs=0.0)
+        assert point.value == pytest.approx(value, rel=rtol, abs=0.0)
+        np.testing.assert_allclose(point.averaged_v, v_bar, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(point.averaged_mu, mu_bar, rtol=rtol, atol=0.0)
 
 
 class TestGradientEstimators:
@@ -188,11 +267,19 @@ class TestRun:
         )
         assert out.trace[-1].gap >= -1e-12
 
+    def test_rejects_prediction_of_wrong_shape(self, ex3):
+        entries = ex3.accurate_prediction.entries
+        for bad in (np.hstack([entries, np.zeros((6, 1))]), entries[:5]):
+            with pytest.raises(ShapeMismatch):
+                run(ex3.instance, PredictionMatrix(bad), ex3.q, 10, seed=0)
+
     def test_rejects_bad_arguments(self, ex3):
         with pytest.raises(ValueError):
             run(ex3.instance, None, ex3.q, 0, seed=0)
         with pytest.raises(ValueError):
             run(ex3.instance, None, ex3.q, 10, seed=0, mu_estimator="bogus")
+        with pytest.raises(NotStochastic):
+            run(ex3.instance, None, [np.nan, 0.5, 0.5], 10, seed=0)
 
     def test_gap_shrinks_on_easy_instance(self):
         # Two states, one action each; the saddle point is easy to find.
@@ -205,3 +292,55 @@ class TestRun:
         out = run(ex3.instance, ex3.accurate_prediction, ex3.q, 8000, seed=0)
         target = float(np.asarray(ex3.q) @ ex3_solution.optimal_value)
         assert out.trace[-1].value == pytest.approx(target, abs=0.15)
+
+
+class TestAgainstDenseReference:
+    """run() keeps C @ v and E @ v up to date; the oracle recomputes them."""
+
+    def test_long_run_matches(self):
+        inst = random_instance(5, 3, seed=4)
+        pred = build_prediction(inst, inst.transition)
+        q = np.full(5, 0.2)
+        horizon = 100_000
+        checkpoints = {1, 100, 4095, 4096, 4097, 30_000, horizon}
+        out = run(inst, pred, q, horizon, seed=9, checkpoints=checkpoints)
+        reference = dense_reference_run(
+            inst, pred, q, horizon, 9, checkpoints, "averaged", None
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
+
+    @pytest.mark.parametrize("with_prediction", [True, False])
+    @pytest.mark.parametrize("mu_estimator", ["averaged", "fresh"])
+    @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001)])
+    def test_every_engine_variant_matches(
+        self, ex3, with_prediction, mu_estimator, fixed_rates
+    ):
+        pred = ex3.inaccurate_prediction if with_prediction else None
+        checkpoints = {1, 2, 3, 64, 65, 999, 1000}
+        out = run(ex3.instance, pred, ex3.q, 1000, seed=3, checkpoints=checkpoints,
+                  mu_estimator=mu_estimator, fixed_rates=fixed_rates)
+        reference = dense_reference_run(
+            ex3.instance, pred, ex3.q, 1000, 3, checkpoints, mu_estimator, fixed_rates
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
+
+
+def trace_rows(out):
+    return {
+        p.step: (p.transition_samples, p.gap, p.value,
+                 p.averaged_v.tobytes(), p.averaged_mu.tobytes())
+        for p in out.trace
+    }
+
+
+@pytest.mark.parametrize("solver", ["optimistic", "smd"])
+def test_short_run_is_a_bitwise_prefix_of_a_long_run(ex3, solver):
+    def solve(horizon):
+        if solver == "smd":
+            return run_smd(ex3.instance, ex3.q, horizon, ex3.epsilon, seed=8)
+        return run(ex3.instance, ex3.accurate_prediction, ex3.q, horizon, seed=8)
+
+    short, long = trace_rows(solve(100)), trace_rows(solve(1600))
+    shared = set(short) & set(long)
+    assert len(shared) >= 10
+    assert {step: short[step] for step in shared} == {step: long[step] for step in shared}

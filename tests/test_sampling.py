@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from pdmdp.core import DegenerateWeights, NotStochastic
 from pdmdp.instances import three_state_example
 from pdmdp.sampling import (
+    BLOCK_SIZE,
+    STREAM_IDS,
     SampleBudgetLedger,
     SeededStream,
     make_streams,
@@ -50,6 +52,19 @@ class TestStreams:
         assert got == expected
 
 
+    def test_block_draws_equal_scalar_generator_draws(self):
+        # The stream serves uniforms from blocks; across block boundaries
+        # they must be the doubles one scalar generator call per draw gives.
+        for name, stream_id in STREAM_IDS.items():
+            stream = SeededStream(11, name)
+            ss = np.random.SeedSequence(entropy=11, spawn_key=(stream_id,))
+            scalar = np.random.Generator(np.random.Philox(ss))
+            count = 2 * BLOCK_SIZE + 7
+            assert [stream.uniform() for _ in range(count)] == [
+                scalar.random() for _ in range(count)
+            ]
+
+
 class TestSampleCategorical:
     def test_point_mass(self):
         stream = SeededStream(0, "initial-state")
@@ -66,6 +81,10 @@ class TestSampleCategorical:
             sample_categorical([0.5, 0.6], SeededStream(0, "v-side"))
         with pytest.raises(NotStochastic):
             sample_categorical([0.5, -0.1, 0.6], SeededStream(0, "v-side"))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NotStochastic):
+            sample_categorical([np.nan, 1.0], SeededStream(0, "v-side"))
 
     def test_empirical_frequencies(self):
         probs = np.array([0.2, 0.2, 0.6])
