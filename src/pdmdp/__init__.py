@@ -13,7 +13,6 @@ from .core import (
     pair_unindex,
     prediction_error,
     save_instance,
-    scalar_value,
 )
 from .exact import (
     bellman_residual,

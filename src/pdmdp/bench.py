@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smd
-from .core import DmdpError, ShapeMismatch, load_instance
+from .core import DmdpError, ShapeMismatch, build_prediction, load_instance
 from .instances import HardFamilySpec, hard_family, random_instance, three_state_example
 from .optimistic_pd import run as run_optimistic
 
@@ -46,29 +47,62 @@ def _hard_spec(perturbed: bool) -> HardFamilySpec:
     return HardFamilySpec(m=2, n=3, discount=0.5, epsilon=0.05, perturbed=perturbed)
 
 
+def _three_state():
+    ex = three_state_example()
+    return ex.instance, ex.accurate_prediction, ex.inaccurate_prediction, ex.q
+
+
+def _with_uniform_q(instance, inaccurate=None):
+    q = np.full(instance.num_states, 1.0 / instance.num_states)
+    return instance, None, inaccurate, q
+
+
+# Preset name -> builder of (instance, accurate pred, inaccurate pred, q).
+PRESETS = {
+    "three-state": _three_state,
+    "hard-m0": lambda: _with_uniform_q(hard_family(_hard_spec(perturbed=False))),
+    "hard-mprime": lambda: _with_uniform_q(hard_family(_hard_spec(perturbed=True))),
+    "random": lambda: _with_uniform_q(random_instance(4, 3, seed=0)),
+}
+
+
 def load_preset(name: str):
     """Resolve a named preset to (instance, accurate pred, inaccurate pred, q)."""
-    if name == "three-state":
-        ex = three_state_example()
-        return ex.instance, ex.accurate_prediction, ex.inaccurate_prediction, ex.q
-    if name in ("hard-m0", "hard-mprime"):
-        instance = hard_family(_hard_spec(perturbed=(name == "hard-mprime")))
-        q = np.full(instance.num_states, 1.0 / instance.num_states)
-        return instance, None, None, q
-    if name == "random":
-        instance = random_instance(4, 3, seed=0)
-        q = np.full(instance.num_states, 1.0 / instance.num_states)
-        return instance, None, None, q
-    raise DmdpError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise DmdpError(f"unknown preset {name!r}")
+    return PRESETS[name]()
 
 
 def resolve_instance(source: str):
     """A preset name or a JSON file path -> (instance, acc, inacc, q)."""
-    if source in ("three-state", "hard-m0", "hard-mprime", "random"):
+    if source in PRESETS:
         return load_preset(source)
     instance, prediction = load_instance(source)
-    q = np.full(instance.num_states, 1.0 / instance.num_states)
-    return instance, None, prediction, q
+    return _with_uniform_q(instance, inaccurate=prediction)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, list) and all(ok(item) for item in x)
+
+
+# JSON type of each config field, checked when the field is present.
+_FIELD_TYPES = {
+    "instance": (lambda x: isinstance(x, str), "a string"),
+    "prediction": (lambda x: isinstance(x, str), "a string"),
+    "label": (lambda x: x is None or isinstance(x, str), "null or a string"),
+    "horizons": (_list_of(_is_int), "a list of integers"),
+    "seeds": (_list_of(_is_int), "a list of integers"),
+    "q": (lambda x: x is None or _list_of(_is_number)(x), "null or a list of numbers"),
+    "epsilon": (lambda x: x is None or _is_number(x), "null or a number"),
+}
 
 
 @dataclass
@@ -85,13 +119,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        for key, (ok, kind) in _FIELD_TYPES.items():
+            if key in doc and not ok(doc[key]):
+                raise DmdpError(f"config field {key!r} must be {kind}: {doc[key]!r}")
         try:
             cfg = cls(
                 instance=doc["instance"],
                 algorithm=doc["algorithm"],
                 prediction=doc.get("prediction", "none"),
-                horizons=[int(t) for t in doc["horizons"]],
-                seeds=[int(s) for s in doc["seeds"]],
+                horizons=list(doc["horizons"]),
+                seeds=list(doc["seeds"]),
                 q=doc.get("q"),
                 epsilon=doc.get("epsilon"),
                 label=doc.get("label"),
@@ -99,8 +136,6 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise DmdpError(f"config missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DmdpError(f"malformed config: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -147,8 +182,6 @@ def _resolve_prediction(config, accurate, inaccurate, instance):
         return None
     if config.prediction == "accurate":
         if accurate is None:
-            from .core import build_prediction
-
             accurate = build_prediction(instance, instance.transition)
         return accurate
     if config.prediction == "inaccurate":
@@ -298,8 +331,6 @@ def write_series_files(csv_path, out_dir) -> list:
 
     Each file holds 'horizon mean stderr' rows, plain text, plot-tool ready.
     """
-    import os
-
     rows = read_csv(csv_path)
     series = aggregate_series(rows)
     os.makedirs(out_dir, exist_ok=True)

@@ -130,6 +130,13 @@ class DmdpInstance:
         """Per-row cumulative transition probabilities, for inverse-CDF draws."""
         return np.cumsum(self.transition, axis=1)
 
+    @cached_property
+    def transition_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per nonzero of P: pair row, flat (state, next state) index, value."""
+        rows, cols = np.nonzero(self.transition)
+        flat = self.pair_state[rows] * self.num_states + cols
+        return rows, flat, self.transition[rows, cols]
+
     @property
     def value_radius(self) -> float:
         """Box radius (1 - discount)^-1 bounding any value vector."""
@@ -270,15 +277,6 @@ def check_distribution(weights, size: int, what: str = "distribution") -> np.nda
     if not (abs(w.sum() - 1.0) <= 1e-9):
         raise NotStochastic(f"{what} must sum to 1, got {w.sum()!r}")
     return w
-
-
-def scalar_value(q, v) -> float:
-    """Inner product q^T v of an initial distribution with a value vector."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if q.shape != v.shape:
-        raise ShapeMismatch("q and v must have the same length")
-    return float(q @ v)
 
 
 def instance_to_dict(instance: DmdpInstance, prediction=None) -> dict:

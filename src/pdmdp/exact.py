@@ -1,7 +1,7 @@
 """Full-knowledge oracles: value iteration, policy evaluation, occupancy measures.
 
-These are the ground-truth references for the sampling-based solvers. All
-linear systems are solved densely; instances here are desk scale.
+These are the ground-truth references for the sampling-based solvers. P_pi
+is assembled from the transition's nonzeros in O(nnz); linear solves stay dense.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .core import (
     DmdpInstance,
     Policy,
     SingularSystem,
-    build_policy,
     check_distribution,
     deterministic_policy,
 )
@@ -75,16 +74,18 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
 
 def _policy_matrices(instance: DmdpInstance, policy: Policy):
     """Collapse pair-indexed P and r to state-indexed P_pi (SxS) and r_pi."""
-    weighted = policy.probs[:, None] * instance.transition
-    P_pi = np.add.reduceat(weighted, instance.state_offsets, axis=0)
+    rows, flat, probs = instance.transition_nonzeros
+    S = instance.num_states
+    P_pi = np.bincount(flat, weights=policy.probs[rows] * probs, minlength=S * S)
     r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
-    return P_pi, r_pi
+    return P_pi.reshape(S, S), r_pi
 
 
 def policy_evaluation(instance: DmdpInstance, policy: Policy) -> np.ndarray:
     """Value vector of a policy via dense solve of (I - gamma P_pi) v = r_pi."""
-    P_pi, r_pi = _policy_matrices(instance, policy)
-    A = np.eye(instance.num_states) - instance.discount * P_pi
+    A, r_pi = _policy_matrices(instance, policy)
+    A *= -instance.discount  # A = I - gamma P_pi, formed in place on P_pi
+    A.ravel()[:: instance.num_states + 1] += 1.0
     try:
         v = np.linalg.solve(A, r_pi)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
@@ -102,10 +103,11 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     and satisfies the dual LP flow constraint.
     """
     q = check_distribution(q, instance.num_states, "q")
-    P_pi, _ = _policy_matrices(instance, policy)
-    A = np.eye(instance.num_states) - instance.discount * P_pi.T
+    A, _ = _policy_matrices(instance, policy)
+    A *= -instance.discount  # A.T = I - gamma P_pi^T, formed in place on P_pi
+    A.ravel()[:: instance.num_states + 1] += 1.0
     try:
-        lam = np.linalg.solve(A, (1.0 - instance.discount) * q)
+        lam = np.linalg.solve(A.T, (1.0 - instance.discount) * q)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     mu = lam[instance.pair_state] * policy.probs
@@ -121,6 +123,5 @@ __all__ = [
     "value_iteration",
     "policy_evaluation",
     "occupancy_measure",
-    "build_policy",
     "DEFAULT_TOLERANCE",
 ]

@@ -163,15 +163,9 @@ def extract_policy(instance: DmdpInstance, mu_bar) -> Policy:
     States carrying zero occupancy mass fall back to uniform over actions.
     """
     mu_bar = np.asarray(mu_bar, dtype=float)
-    mass = np.add.reduceat(mu_bar, instance.state_offsets)
-    probs = np.empty(instance.num_pairs)
-    for state, count in enumerate(instance.actions_per_state):
-        off = int(instance.state_offsets[state])
-        block = mu_bar[off : off + count]
-        if mass[state] > 0.0:
-            probs[off : off + count] = block / mass[state]
-        else:
-            probs[off : off + count] = 1.0 / count
+    mass = np.add.reduceat(mu_bar, instance.state_offsets)[instance.pair_state]
+    uniform = 1.0 / np.array(instance.actions_per_state)[instance.pair_state]
+    probs = np.divide(mu_bar, mass, out=uniform, where=mass > 0.0)
     return build_policy(instance, probs)
 
 

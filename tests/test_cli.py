@@ -120,6 +120,28 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"algorithm": "smd", "prediction": "none", "epsilon": "0.05"},
+            {"algorithm": "smd", "prediction": "none", "epsilon": True},
+            {"seeds": "12"},
+            {"seeds": [True]},
+            {"horizons": "58"},
+            {"horizons": [10.9]},
+            {"q": "uniform"},
+            {"q": [0.5, "0.25", 0.25]},
+            {"instance": 3},
+            {"prediction": None},
+            {"label": ["a"]},
+        ],
+    )
+    def test_json_field_types_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field") and err.count("\n") == 1
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -155,6 +177,19 @@ class TestFiguresCommand:
 
 
 class TestConfigValidation:
+    def test_json_numbers_accepted(self):
+        doc = {
+            "instance": "three-state",
+            "algorithm": "smd",
+            "horizons": [10, 20],
+            "seeds": [0],
+            "q": [0, 0.5, 0.5],
+            "epsilon": 1,
+            "label": None,
+        }
+        cfg = bench.ExperimentConfig.from_dict(doc)
+        assert (cfg.horizons, cfg.q, cfg.epsilon) == ([10, 20], [0, 0.5, 0.5], 1)
+
     def test_optimistic_needs_prediction(self):
         with pytest.raises(DmdpError):
             bench.ExperimentConfig.from_dict(

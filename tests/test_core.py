@@ -22,7 +22,6 @@ from pdmdp.core import (
     pair_unindex,
     prediction_error,
     save_instance,
-    scalar_value,
 )
 from pdmdp.instances import random_instance
 
@@ -184,17 +183,6 @@ class TestPredictionError:
         )
         pred_p = build_prediction(inst_b, inst.transition)
         assert prediction_error(inst_b, pred_p) == pytest.approx(d_pa)
-
-
-class TestScalarValue:
-    def test_examples(self):
-        assert scalar_value([1.0], [2.0]) == 2.0
-        assert scalar_value([0.4, 0.4, 0.2], [1, 1, 1]) == pytest.approx(1.0)
-        assert scalar_value([0.5, 0.5], [0, 2]) == pytest.approx(1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            scalar_value([0.5, 0.5], [1.0])
 
 
 class TestInstanceFiles:

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp.core import build_instance, build_policy, deterministic_policy
+from pdmdp import exact
+from pdmdp.core import build_instance, build_policy, build_prediction, deterministic_policy
 from pdmdp.exact import (
     apply_bellman,
     bellman_residual,
@@ -13,6 +16,7 @@ from pdmdp.exact import (
 )
 from pdmdp.instances import HardFamilySpec, hard_family, random_instance
 from pdmdp.minimax import shifted_transition_apply_t
+from pdmdp.optimistic_pd import run
 
 
 def tiny_instance():
@@ -140,3 +144,63 @@ class TestBellmanResidual:
         w = rng.uniform(-5, 5, inst.num_states)
         lhs = np.abs(apply_bellman(inst, v) - apply_bellman(inst, w)).max()
         assert lhs <= inst.discount * np.abs(v - w).max() + 1e-12
+
+
+def dense_policy_matrices(instance, policy):
+    """P_pi and r_pi through a dense N x S weighted copy of P, as the oracle."""
+    weighted = policy.probs[:, None] * instance.transition
+    P_pi = np.add.reduceat(weighted, instance.state_offsets, axis=0)
+    r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
+    return P_pi, r_pi
+
+
+@st.composite
+def instances_with_policies(draw):
+    """Mixed action counts, sparse to dense rows, policies with zero entries."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    actions = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=30))
+    sparsity = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    inst = random_instance(len(actions), actions, sparsity=sparsity, seed=seed)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for count in actions:
+        support = rng.random(count) < 0.5
+        support[rng.integers(count)] = True
+        block = np.zeros(count)
+        block[support] = rng.dirichlet(np.ones(support.sum()))
+        blocks.append(block)
+    return inst, build_policy(inst, np.concatenate(blocks)), rng
+
+
+class TestAgainstDenseOracle:
+    @given(instances_with_policies())
+    @settings(max_examples=60, deadline=None)
+    def test_policy_matrices(self, case):
+        inst, pol, _ = case
+        P_pi, r_pi = exact._policy_matrices(inst, pol)
+        P_ref, r_ref = dense_policy_matrices(inst, pol)
+        np.testing.assert_allclose(P_pi, P_ref, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(r_pi, r_ref)
+
+    @given(instances_with_policies())
+    @settings(max_examples=40, deadline=None)
+    def test_evaluation_and_occupancy(self, case):
+        inst, pol, rng = case
+        q = rng.dirichlet(np.ones(inst.num_states))
+        v, mu = policy_evaluation(inst, pol), occupancy_measure(inst, pol, q)
+        with mock.patch.object(exact, "_policy_matrices", dense_policy_matrices):
+            v_ref, mu_ref = policy_evaluation(inst, pol), occupancy_measure(inst, pol, q)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
+
+    def test_run_trace(self, monkeypatch):
+        inst = random_instance(200, 4, sparsity=0.05)
+        prediction = build_prediction(inst, random_instance(200, 4, seed=1).transition)
+        q = np.full(inst.num_states, 1.0 / inst.num_states)
+        trace = run(inst, prediction, q, 200, seed=3).trace
+        monkeypatch.setattr(exact, "_policy_matrices", dense_policy_matrices)
+        reference = run(inst, prediction, q, 200, seed=3).trace
+        assert [p.gap for p in trace] == [p.gap for p in reference]
+        np.testing.assert_allclose(
+            [p.value for p in trace], [p.value for p in reference], rtol=0, atol=1e-12
+        )

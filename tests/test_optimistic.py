@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmdp.core import (
     NotStochastic,
     PredictionMatrix,
     ShapeMismatch,
     build_instance,
+    build_policy,
     build_prediction,
     check_distribution,
 )
@@ -186,7 +189,33 @@ class TestUpdates:
         assert np.all(np.isfinite(out))
 
 
+def loop_extract_policy(instance, mu_bar):
+    """extract_policy written as a per-state loop, as its oracle."""
+    mass = np.add.reduceat(mu_bar, instance.state_offsets)
+    probs = np.empty(instance.num_pairs)
+    for state, count in enumerate(instance.actions_per_state):
+        off = int(instance.state_offsets[state])
+        if mass[state] > 0.0:
+            probs[off : off + count] = mu_bar[off : off + count] / mass[state]
+        else:
+            probs[off : off + count] = 1.0 / count
+    return build_policy(instance, probs)
+
+
 class TestExtractPolicy:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_state_loop_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        actions = [int(a) for a in rng.integers(1, 5, size=int(rng.integers(1, 9)))]
+        inst = random_instance(len(actions), actions, seed=seed)
+        mu = rng.dirichlet(np.ones(inst.num_pairs))
+        mu[rng.random(inst.num_pairs) < 0.3] = 0.0
+        mu[inst.pair_state == 0] = 0.0  # state 0 carries no mass
+        np.testing.assert_array_equal(
+            extract_policy(inst, mu).probs, loop_extract_policy(inst, mu).probs
+        )
+
     def test_zero_mass_state_uniform_fallback(self, ex3):
         mu = np.array([0.0, 0.0, 0.25, 0.25, 0.3, 0.2])
         pol = extract_policy(ex3.instance, mu)
