@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smd
-from .core import DmdpError, ShapeMismatch, build_prediction, load_instance
+from .core import (
+    DmdpError,
+    ShapeMismatch,
+    _is_int,
+    _is_number,
+    _is_number_list,
+    _list_of,
+    build_prediction,
+    load_instance,
+)
 from .instances import HardFamilySpec, hard_family, random_instance, three_state_example
 from .optimistic_pd import run as run_optimistic
 
@@ -81,18 +90,6 @@ def resolve_instance(source: str):
     return _with_uniform_q(instance, inaccurate=prediction)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _list_of(ok):
-    return lambda x: isinstance(x, list) and all(ok(item) for item in x)
-
-
 # JSON type of each config field, checked when the field is present.
 _FIELD_TYPES = {
     "instance": (lambda x: isinstance(x, str), "a string"),
@@ -100,7 +97,7 @@ _FIELD_TYPES = {
     "label": (lambda x: x is None or isinstance(x, str), "null or a string"),
     "horizons": (_list_of(_is_int), "a list of integers"),
     "seeds": (_list_of(_is_int), "a list of integers"),
-    "q": (lambda x: x is None or _list_of(_is_number)(x), "null or a list of numbers"),
+    "q": (lambda x: x is None or _is_number_list(x), "null or a list of numbers"),
     "epsilon": (lambda x: x is None or _is_number(x), "null or a number"),
 }
 

@@ -60,18 +60,44 @@ class SpecOutOfRange(DmdpError):
     pass
 
 
+# numpy's float64 sum of a contiguous row is pairwise inside blocks of this
+# many entries and sequential across blocks.
+_SUM_BLOCK = 8192
+
+
+def _sum_depth(n):
+    """Bound on the roundings any one entry meets in numpy's float64 sum of n.
+
+    Inside a block numpy splits runs longer than 128 in two (near halves,
+    trimmed to multiples of 8): at most 7 levels for 8192 entries. A run of at
+    most 128 entries goes into 8 sequential accumulators (at most 15 additions
+    each), which are combined in 3 levels, then the up to 7 leftover entries
+    are added one by one: 25 roundings. Adding the block's sum into the result
+    makes 7 + 25 + 1 = 33 for the first block, and each later block adds one:
+    32 plus the number of blocks. The same count bounds a row summed without
+    blocks (at most 8 + log2(n / 8192) levels). No summation order, sequential
+    ones included, has an entry meet more than n - 1 roundings.
+    """
+    return np.minimum(n - 1, 32 + -(-n // _SUM_BLOCK))
+
+
 def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     """Index of the first group whose entries do not sum to 1, else None.
 
     ``sums[i]`` is the float sum of the ``lengths[i]`` non-negative entries
-    ``group(i)``. A group passes when the exact sum of its entries is within
-    STOCHASTIC_TOL of 1; a NaN sum fails. The float sum is off from the exact
-    one by less than n*eps*sum, so only groups whose computed deviation lies
-    that close to the tolerance are summed again exactly with math.fsum.
+    ``group(i)``, as numpy's sum or np.add.reduceat computes it. A group passes
+    when the exact sum of its entries is within STOCHASTIC_TOL of 1; a NaN sum
+    fails. Each entry meets at most d = _sum_depth(n) roundings, so the float
+    sum is off from the exact one by less than d*eps*sum (twice the classical
+    bound, which covers the difference between the float and the exact sum on
+    the right); only groups whose computed deviation lies that close to the
+    tolerance are summed again exactly with math.fsum.
     """
     dev = np.abs(sums - 1.0)
     bad = ~(dev <= STOCHASTIC_TOL)
-    near = np.abs(dev - STOCHASTIC_TOL) <= lengths * np.finfo(float).eps * sums
+    near = np.abs(dev - STOCHASTIC_TOL) <= _sum_depth(np.asarray(lengths)) * (
+        np.finfo(float).eps * sums
+    )
     for i in np.flatnonzero(near):
         entries = group(i).tolist()
         # Signs of correctly rounded sums are exact: -tol <= sum - 1 <= tol.
@@ -136,6 +162,19 @@ class DmdpInstance:
         rows, cols = np.nonzero(self.transition)
         flat = self.pair_state[rows] * self.num_states + cols
         return rows, flat, self.transition[rows, cols]
+
+    @cached_property
+    def transition_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rest of P's CSR form: per nonzero its next state; per pair row
+        the index of its first nonzero and its number of nonzeros.
+
+        All index the arrays of transition_nonzeros. Every row of P has a
+        nonzero, so the row starts increase strictly, as np.add.reduceat needs.
+        """
+        rows, flat, _ = self.transition_nonzeros
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        counts = np.diff(starts, append=rows.size)
+        return flat - self.pair_state[rows] * self.num_states, starts, counts
 
     @property
     def value_radius(self) -> float:
@@ -292,11 +331,49 @@ def instance_to_dict(instance: DmdpInstance, prediction=None) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number_type(t) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_number_type(type(x))
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, list) and all(ok(item) for item in x)
+
+
+def _is_number_list(x) -> bool:
+    # One test per distinct element type, so a 4000 x 1000 matrix loads fast.
+    return isinstance(x, list) and all(map(_is_number_type, set(map(type, x))))
+
+
+# JSON type of each instance document field, checked when the field is present.
+_INSTANCE_FIELD_TYPES = {
+    "num_states": (_is_int, "an integer"),
+    "actions_per_state": (_list_of(_is_int), "a list of integers"),
+    "transition": (_list_of(_is_number_list), "a list of lists of numbers"),
+    "reward": (_is_number_list, "a list of numbers"),
+    "discount": (_is_number, "a number"),
+    "prediction": (
+        lambda x: x is None or _list_of(_is_number_list)(x),
+        "null or a list of lists of numbers",
+    ),
+}
+
+
 def instance_from_dict(doc: dict):
     """Build (instance, prediction-or-None) from the JSON document schema."""
     for key in ("num_states", "actions_per_state", "transition", "reward", "discount"):
         if key not in doc:
             raise ShapeMismatch(f"instance document missing field {key!r}")
+    for key, (ok, kind) in _INSTANCE_FIELD_TYPES.items():
+        if key in doc and not ok(doc[key]):
+            raise ShapeMismatch(f"instance field {key!r} must be {kind}")
     instance = build_instance(
         doc["num_states"],
         doc["actions_per_state"],

@@ -7,12 +7,11 @@ vector mu on the simplex:
 
 where Ihat is the N x |S| state-indicator matrix. Both inner optimizations
 of the duality gap are linear, so they are evaluated in closed form at a
-simplex vertex and a box corner.
+simplex vertex and a box corner. Products with P and P^T run over P's
+nonzeros, in O(nnz) rather than O(N |S|).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +20,8 @@ from .core import DmdpInstance, InfeasiblePoint, check_distribution
 FEASIBILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FeasibleSets:
-    v_box_radius: float
-    dual_dimension: int
-
-
-@dataclass(frozen=True)
-class SaddlePoint:
-    v: np.ndarray
-    mu: np.ndarray
-
-
-def feasible_sets(instance: DmdpInstance) -> FeasibleSets:
-    return FeasibleSets(instance.value_radius, instance.num_pairs)
-
-
-def check_feasible(instance: DmdpInstance, v, mu) -> SaddlePoint:
-    """Validate box/simplex membership; renormalize mu within tolerance."""
+def check_feasible(instance: DmdpInstance, v, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Validate box/simplex membership; return (v, mu), mu renormalized."""
     v = np.asarray(v, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if v.shape != (instance.num_states,) or mu.shape != (instance.num_pairs,):
@@ -48,29 +31,36 @@ def check_feasible(instance: DmdpInstance, v, mu) -> SaddlePoint:
     if np.any(mu < -FEASIBILITY_TOL) or abs(mu.sum() - 1.0) > FEASIBILITY_TOL:
         raise InfeasiblePoint("mu outside the simplex")
     mu = np.clip(mu, 0.0, None)
-    return SaddlePoint(v, mu / mu.sum())
+    return v, mu / mu.sum()
+
+
+def transition_apply(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
+    """P v, a vector over state-action pairs, summed over P's nonzeros."""
+    _, _, probs = instance.transition_nonzeros
+    cols, starts, _ = instance.transition_csr
+    return np.add.reduceat(probs * v[cols], starts)
 
 
 def shifted_transition_apply(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
     """(gamma P - Ihat) v, a vector over state-action pairs."""
-    return instance.discount * (instance.transition @ v) - v[instance.pair_state]
+    return instance.discount * transition_apply(instance, v) - v[instance.pair_state]
 
 
 def shifted_transition_apply_t(instance: DmdpInstance, mu: np.ndarray) -> np.ndarray:
     """(gamma P - Ihat)^T mu, a vector over states."""
-    per_state = np.bincount(
-        instance.pair_state, weights=mu, minlength=instance.num_states
-    )
-    return instance.discount * (instance.transition.T @ mu) - per_state
+    _, _, probs = instance.transition_nonzeros
+    cols, _, counts = instance.transition_csr
+    S = instance.num_states
+    next_state = np.bincount(cols, weights=np.repeat(mu, counts) * probs, minlength=S)
+    per_state = np.bincount(instance.pair_state, weights=mu, minlength=S)
+    return instance.discount * next_state - per_state
 
 
 def lagrangian(instance: DmdpInstance, q, v, mu) -> float:
     q = check_distribution(q, instance.num_states, "q")
-    point = check_feasible(instance, v, mu)
-    constraint = shifted_transition_apply(instance, point.v) + instance.reward
-    return float(
-        (1.0 - instance.discount) * (q @ point.v) + point.mu @ constraint
-    )
+    v, mu = check_feasible(instance, v, mu)
+    constraint = shifted_transition_apply(instance, v) + instance.reward
+    return float((1.0 - instance.discount) * (q @ v) + mu @ constraint)
 
 
 def exact_gradients(instance: DmdpInstance, q, v, mu):
@@ -94,14 +84,14 @@ def duality_gap(instance: DmdpInstance, q, v, mu) -> float:
     Nonnegative for every feasible point, zero exactly at a saddle point.
     """
     q = check_distribution(q, instance.num_states, "q")
-    point = check_feasible(instance, v, mu)
+    v, mu = check_feasible(instance, v, mu)
     one_minus = 1.0 - instance.discount
 
-    constraint = shifted_transition_apply(instance, point.v) + instance.reward
-    inner_max = one_minus * (q @ point.v) + float(constraint.max())
+    constraint = shifted_transition_apply(instance, v) + instance.reward
+    inner_max = one_minus * (q @ v) + float(constraint.max())
 
-    v_coeff = one_minus * q + shifted_transition_apply_t(instance, point.mu)
-    inner_min = float(point.mu @ instance.reward) - instance.value_radius * float(
+    v_coeff = one_minus * q + shifted_transition_apply_t(instance, mu)
+    inner_min = float(mu @ instance.reward) - instance.value_radius * float(
         np.abs(v_coeff).sum()
     )
     return inner_max - inner_min

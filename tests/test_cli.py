@@ -50,6 +50,36 @@ class TestSolveExact:
         assert main(["solve-exact", "hard-m0"]) == 0
 
 
+class TestInstanceFileTypes:
+    """Every field of an instance file must have its JSON type; no coercion."""
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("num_states", None, 3.0),
+            ("actions_per_state", None, [2.5, 2, 2]),
+            ("discount", None, "0.5"),
+            ("transition", (0, 0), "1.0"),
+            ("reward", None, [True, False] * 3),
+            ("prediction", (1, 2), "0.6"),
+        ],
+    )
+    def test_wrong_type_exits_2(self, tmp_path, capsys, field, index, value):
+        path = tmp_path / "inst.json"
+        args = ["gen-instance", "--preset", "three-state", "--out", str(path)]
+        assert main(args + ["--prediction", "accurate"]) == 0
+        doc = json.loads(path.read_text())
+        if index is None:
+            doc[field] = value
+        else:
+            doc[field][index[0]][index[1]] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve-exact", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: instance field {field!r}") and err.count("\n") == 1
+
+
 class TestGenInstance:
     def test_round_trip_with_prediction(self, tmp_path):
         path = tmp_path / "ex.json"

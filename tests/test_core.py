@@ -1,11 +1,16 @@
 import json
+import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdmdp import core
 from pdmdp.core import (
+    STOCHASTIC_TOL,
     DiscountOutOfRange,
     NotStochastic,
     OutOfRange,
@@ -87,6 +92,36 @@ class TestBuildInstance:
         else:
             inst = build_instance(2, [1, 1], row + [[0.0, 1.0]], [0, 0], 0.5)
             np.testing.assert_allclose(inst.transition.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_long_rows_judged_exactly(self, n):
+        # Rows whose exact sum lies just inside, at and just outside 1 +- 1e-12,
+        # against the exact Fraction sum of the stored entries.
+        rng = np.random.default_rng(n)
+        for target in (1 - 1e-3, 1 - 1e-5, 1.0, 1 + 1e-5, 1 + 1e-3, 1.01):
+            for sign in (1.0, -1.0):
+                row = rng.dirichlet(np.ones(n))
+                row[0] += float(1 + Fraction(sign * target * STOCHASTIC_TOL) - exact_sum(row))
+                legal = abs(exact_sum(row) - 1) <= Fraction(STOCHASTIC_TOL)
+                if legal:
+                    core._validate_rows(row[None, :], "row")
+                else:
+                    with pytest.raises(NotStochastic):
+                        core._validate_rows(row[None, :], "row")
+
+    def test_long_rows_not_summed_again(self):
+        # Rows far from the tolerance are judged by their float sum alone.
+        rows = np.random.default_rng(0).dirichlet(np.ones(5000), size=20)
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            core._validate_rows(rows, "rows")
+        assert fsum.call_count == 0
+
+
+def exact_sum(entries):
+    """Exact sum of float entries as a Fraction; their denominators are powers of two."""
+    ratios = [x.as_integer_ratio() for x in entries.tolist()]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
 
 
 class TestNanRejected:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp import exact
+from pdmdp import bench, exact, minimax
+from pdmdp.bench import CSV_COLUMNS
 from pdmdp.core import build_instance, build_policy, build_prediction, deterministic_policy
 from pdmdp.exact import (
     apply_bellman,
@@ -17,6 +18,7 @@ from pdmdp.exact import (
 from pdmdp.instances import HardFamilySpec, hard_family, random_instance
 from pdmdp.minimax import shifted_transition_apply_t
 from pdmdp.optimistic_pd import run
+from test_minimax import dense_shifted_apply, dense_shifted_apply_t
 
 
 def tiny_instance():
@@ -204,3 +206,87 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(
             [p.value for p in trace], [p.value for p in reference], rtol=0, atol=1e-12
         )
+
+    def test_trend_configs(self, monkeypatch):
+        # The three reproduce_trends configurations, short: the value column
+        # (LU at three states) is bitwise the dense one, the gap within 1e-12.
+        base = {"instance": "three-state", "horizons": [100, 400], "seeds": [0, 1]}
+        configs = [
+            bench.ExperimentConfig.from_dict(dict(base, **extra))
+            for extra in (
+                {"algorithm": "optimistic", "prediction": "accurate"},
+                {"algorithm": "optimistic", "prediction": "inaccurate"},
+                {"algorithm": "smd", "epsilon": 0.05},
+            )
+        ]
+        rows = [row for config in configs for row in bench.execute(config)]
+        def dense_solve(A, b, discount, transposed):
+            return np.linalg.solve(A.T if transposed else A, b)
+
+        monkeypatch.setattr(exact, "_solve", dense_solve)
+        monkeypatch.setattr(minimax, "shifted_transition_apply", dense_shifted_apply)
+        monkeypatch.setattr(minimax, "shifted_transition_apply_t", dense_shifted_apply_t)
+        reference = [row for config in configs for row in bench.execute(config)]
+        gap, value = CSV_COLUMNS.index("gap"), CSV_COLUMNS.index("value")
+        assert [row[value] for row in rows] == [row[value] for row in reference]
+        for row, ref in zip(rows, reference):
+            assert abs(row[gap] - ref[gap]) <= 1e-12 * max(1.0, abs(ref[gap]))
+
+
+def dense_solutions(instance, policy, q):
+    """v_pi and mu_pi by np.linalg.solve on np.eye(S) - gamma P_pi, as the oracle."""
+    P_pi, r_pi = dense_policy_matrices(instance, policy)
+    A = np.eye(instance.num_states) - instance.discount * P_pi
+    v = np.linalg.solve(A, r_pi)
+    lam = np.linalg.solve(A.T, (1.0 - instance.discount) * q)
+    return v, lam[instance.pair_state] * policy.probs
+
+
+class TestKrylovSolve:
+    """Above the crossover the solves run GMRES and fall back to LU only when it stalls."""
+
+    @pytest.mark.parametrize(
+        "shape, lu_calls",
+        [
+            (dict(num_states=1000, actions_per_state=4, sparsity=0.05), 0),
+            (dict(num_states=1000, actions_per_state=4, sparsity=0.05, discount=0.99), 0),
+            # One next state per pair: GMRES converges too slowly and hands over.
+            (dict(num_states=1000, actions_per_state=2, sparsity=0.001), 1),
+        ],
+        ids=["benchmark-shape", "discount-0.99", "slow-mixing"],
+    )
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["mixed", "deterministic"])
+    def test_matches_dense_solve(self, shape, lu_calls, deterministic):
+        inst = random_instance(seed=5, **shape)
+        assert inst.num_states >= exact._KRYLOV_MIN_STATES
+        rng = np.random.default_rng(6)
+        if deterministic:
+            pol = deterministic_policy(inst, rng.integers(0, inst.actions_per_state))
+        else:
+            pol = random_policy(inst, rng)
+        q = rng.dirichlet(np.ones(inst.num_states))
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            v = policy_evaluation(inst, pol)
+            assert solve.call_count == lu_calls
+            mu = occupancy_measure(inst, pol, q)
+            assert solve.call_count == 2 * lu_calls
+        v_ref, mu_ref = dense_solutions(inst, pol, q)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
+        # Strong duality of the pair: (1 - gamma) q.v_pi = mu_pi.r.
+        assert abs((1 - inst.discount) * float(q @ v) - float(mu @ inst.reward)) <= 1e-12
+
+    def test_small_instances_use_lu(self, ex3, ex3_solution):
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            policy_evaluation(ex3.instance, ex3_solution.optimal_policy)
+            occupancy_measure(ex3.instance, ex3_solution.optimal_policy, ex3.q)
+        assert solve.call_count == 2
+
+    def test_zero_rewards(self):
+        S = exact._KRYLOV_MIN_STATES
+        P = random_instance(S, 2, sparsity=0.05).transition
+        inst = build_instance(S, [2] * S, P, np.zeros(2 * S), 0.9)
+        pol = random_policy(inst, np.random.default_rng(0))
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            np.testing.assert_array_equal(policy_evaluation(inst, pol), 0.0)
+        assert solve.call_count == 0

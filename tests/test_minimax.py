@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmdp import minimax
 from pdmdp.core import InfeasiblePoint, build_instance
 from pdmdp.exact import occupancy_measure, value_iteration
 from pdmdp.instances import random_instance
@@ -12,7 +14,6 @@ from pdmdp.minimax import (
     check_feasible,
     duality_gap,
     exact_gradients,
-    feasible_sets,
     lagrangian,
     shifted_transition_apply,
     shifted_transition_apply_t,
@@ -164,16 +165,11 @@ class TestDualityGap:
 
 
 class TestFeasibleSets:
-    def test_dimensions(self, ex3):
-        sets = feasible_sets(ex3.instance)
-        assert sets.v_box_radius == 2.0
-        assert sets.dual_dimension == 6
-
     def test_renormalization_within_tolerance(self, ex3):
         mu = np.full(6, 1 / 6)
         mu[0] += 5e-13
-        point = check_feasible(ex3.instance, np.zeros(3), mu)
-        assert point.mu.sum() == pytest.approx(1.0, abs=1e-15)
+        _, mu = check_feasible(ex3.instance, np.zeros(3), mu)
+        assert mu.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_shifted_operators_are_adjoint(self, ex3):
         rng = np.random.default_rng(3)
@@ -182,3 +178,44 @@ class TestFeasibleSets:
         lhs = float(mu @ shifted_transition_apply(ex3.instance, v))
         rhs = float(shifted_transition_apply_t(ex3.instance, mu) @ v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def dense_shifted_apply(instance, v):
+    """(gamma P - Ihat) v through the dense N x S transition, as the oracle."""
+    return instance.discount * (instance.transition @ v) - v[instance.pair_state]
+
+
+def dense_shifted_apply_t(instance, mu):
+    """(gamma P - Ihat)^T mu through the dense transition, as the oracle."""
+    per_state = np.bincount(instance.pair_state, weights=mu, minlength=instance.num_states)
+    return instance.discount * (instance.transition.T @ mu) - per_state
+
+
+class TestAgainstDenseOracle:
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.integers(1, 4), min_size=1, max_size=30),
+        st.sampled_from([0.05, 0.3, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_and_gap(self, seed, actions, sparsity):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(len(actions), actions, sparsity=sparsity, seed=seed)
+        v, mu = random_feasible(inst, rng)
+        q = rng.dirichlet(np.ones(inst.num_states))
+        np.testing.assert_allclose(
+            shifted_transition_apply(inst, v), dense_shifted_apply(inst, v),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            shifted_transition_apply_t(inst, mu), dense_shifted_apply_t(inst, mu),
+            rtol=0, atol=1e-14,
+        )
+        gap = duality_gap(inst, q, v, mu)
+        with mock.patch.multiple(
+            minimax,
+            shifted_transition_apply=dense_shifted_apply,
+            shifted_transition_apply_t=dense_shifted_apply_t,
+        ):
+            reference = duality_gap(inst, q, v, mu)
+        assert abs(gap - reference) <= 1e-12 * max(1.0, abs(reference))
