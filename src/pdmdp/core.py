@@ -244,21 +244,13 @@ def prediction_error(instance: DmdpInstance, prediction: PredictionMatrix) -> fl
     return float(np.abs(E - instance.transition).sum(axis=1).max())
 
 
-@dataclass(frozen=True)
-class PairIndex:
-    state: int
-    action: int
-    flat: int
-
-
-def pair_index(instance: DmdpInstance, state: int, action: int) -> PairIndex:
+def pair_index(instance: DmdpInstance, state: int, action: int) -> int:
     """Flat index of (state, action) in the canonical state-major layout."""
     if not (0 <= state < instance.num_states):
         raise OutOfRange(f"state {state} out of range")
     if not (0 <= action < instance.actions_per_state[state]):
         raise OutOfRange(f"action {action} out of range for state {state}")
-    flat = int(instance.state_offsets[state]) + action
-    return PairIndex(state, action, flat)
+    return int(instance.state_offsets[state]) + action
 
 
 def pair_unindex(instance: DmdpInstance, flat: int) -> tuple[int, int]:
@@ -302,7 +294,7 @@ def deterministic_policy(instance: DmdpInstance, actions) -> Policy:
     """Policy taking the given action (one per state) with probability 1."""
     probs = np.zeros(instance.num_pairs)
     for state, action in enumerate(actions):
-        probs[pair_index(instance, state, int(action)).flat] = 1.0
+        probs[pair_index(instance, state, int(action))] = 1.0
     return build_policy(instance, probs)
 
 

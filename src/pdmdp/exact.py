@@ -2,15 +2,15 @@
 
 These are the ground-truth references for the sampling-based solvers. P_pi
 is assembled from the transition's nonzeros in O(nnz) and P v is summed over
-them. Policy evaluation and occupancy measures solve I - gamma P_pi with GMRES
-from 400 states on, where its 14-26 dense products cost a fraction of the
-O(S^3) LU (S=1000, one BLAS thread: 6-8 ms against 24-35 ms), and with the
-LU below that size or when GMRES stalls; see _solve.
+them. Policy evaluation and occupancy measures solve I - gamma P_pi by a
+fixed-point iteration on a rank-one shift of it from 400 states on, where its
+14-27 dense products cost a fraction of the O(S^3) LU (S=1000, one BLAS
+thread: about 10 ms against 24-35 ms), and with the LU below that size or
+when the iteration converges too slowly; see _solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,8 @@ DEFAULT_TOLERANCE = 1e-10
 
 _MAX_SWEEPS = 10_000_000
 
-# The GMRES solve of _solve: smallest system size, largest Krylov dimension,
-# iterations before the early exit may fire, and relative residual to reach.
+# The iterative solve of _solve: smallest system size, most dense products,
+# products before the hand-over may fire, and relative residual to reach.
 _KRYLOV_MIN_STATES = 400
 _KRYLOV_MAX_DIM = 32
 _KRYLOV_WARMUP = 4
@@ -62,7 +62,7 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     which guarantees the returned vector is within tolerance of v* in sup norm.
     Greedy actions break ties toward the lowest action index.
     """
-    if tolerance <= 0:
+    if not (tolerance > 0):  # also rejects NaN, which no sweep would meet
         raise ValueError("tolerance must be positive")
     gamma = instance.discount
     threshold = tolerance * (1.0 - gamma) / (2.0 * gamma)
@@ -102,103 +102,60 @@ def _system_matrix(instance: DmdpInstance, policy: Policy):
     return A, r_pi
 
 
-def _gmres(M: np.ndarray, b: np.ndarray, shift: float):
-    """Solution of (M + shift 11^T/S) x = b by unrestarted GMRES from x = 0.
-
-    Arnoldi with classical Gram-Schmidt applied twice; Givens rotations keep
-    the least-squares residual |g[k+1]| current. Returns None when the
-    Krylov dimension reaches _KRYLOV_MAX_DIM first, or, from iteration
-    _KRYLOV_WARMUP on, as soon as the mean reduction per iteration over the
-    last three, kept up until the cap, would not bring the residual down to
-    _KRYLOV_RTOL.
-    """
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.zeros_like(b)
-    m = _KRYLOV_MAX_DIM
-    shift_per_entry = shift / b.shape[0]
-    target = _KRYLOV_RTOL * beta
-    V = np.empty((m + 1, b.shape[0]))
-    R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
-    cs, sn = [0.0] * m, [0.0] * m
-    g = np.zeros(m + 1)
-    g[0] = beta
-    V[0] = b / beta
-    residuals = [beta]
-    for k in range(m):
-        w = M @ V[k]
-        w += shift_per_entry * V[k].sum()
-        basis = V[: k + 1]
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        h = (h + h2).tolist()
-        h_next = float(np.linalg.norm(w))
-        for i in range(k):
-            upper, lower = h[i], h[i + 1]
-            h[i], h[i + 1] = cs[i] * upper + sn[i] * lower, cs[i] * lower - sn[i] * upper
-        diag = math.hypot(h[k], h_next)
-        cs[k], sn[k] = h[k] / diag, h_next / diag
-        h[k] = diag
-        R[: k + 1, k] = h
-        g[k + 1] = -sn[k] * g[k]
-        g[k] *= cs[k]
-        residual = abs(g[k + 1])
-        residuals.append(residual)
-        if residual <= target:
-            y = np.empty(k + 1)
-            for i in range(k, -1, -1):
-                y[i] = (g[i] - R[i, i + 1 : k + 1] @ y[i + 1 :]) / R[i, i]
-            return y @ basis
-        if k + 1 >= _KRYLOV_WARMUP:
-            rate = (residual / residuals[-4]) ** (1 / 3)
-            if residual * rate ** (m - k - 1) > target:
-                return None
-        V[k + 1] = w / h_next
-    return None
-
-
 def _solve(A: np.ndarray, b: np.ndarray, discount: float, transposed: bool):
     """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
 
     Every eigenvalue of A lies within gamma of 1. A 1 = (1 - gamma) 1, and
     adding gamma 11^T/S moves that eigenvalue to 1 and leaves the others as
     they are (Brauer's theorem; the same holds for A^T, whose left eigenvector
-    1 is). GMRES runs on that shifted matrix B and undoes the shift exactly,
-    with c = gamma / (1 - gamma): x = y + c mean(y) 1 where B y = b, and for
-    A^T the right-hand side b + c mean(b) 1 (1^T A^T x = (1 - gamma) 1^T x).
-    When P_pi mixes fast, the other eigenvalues lie close to 1, and GMRES
-    needs 14-22 dense products to a relative residual of _KRYLOV_RTOL = 1e-15
-    on random_instance(1000, 4, sparsity=0.05) at gamma 0.9 and 0.99, giving
-    |x - x_LU| <= 2e-14; without the shift it needs 2-4 more. The values
-    below were measured on one BLAS thread:
+    1 is). The fixed-point iteration y <- y + (b - B y) on that shifted matrix
+    B therefore contracts at gamma |lambda_2(P_pi)| instead of gamma, and the
+    shift is undone exactly, with c = gamma / (1 - gamma): x = y + c mean(y) 1,
+    and for A^T the right-hand side b + c mean(b) 1 (1^T A^T x = (1 - gamma)
+    1^T x). Each step forms the true residual with one dense product. When
+    P_pi mixes fast, lambda_2 is small: on random_instance(1000, 4,
+    sparsity=0.05) the iteration reaches a relative residual of _KRYLOV_RTOL
+    = 1e-15 in 14-20 products at gamma 0.9 and 16-22 at gamma 0.99, within
+    3e-15 of the LU. That is unrestarted GMRES's count on every system the
+    S=1000 solver runs hand it, and at most one more on the other shapes
+    measured: on a disc of eigenvalues centred at 1, (1 - z)^k is already the
+    best residual polynomial (Zarantonello's lemma; Saad, Iterative Methods
+    for Sparse Linear Systems, ch. 6), so minimising over the same Krylov
+    space gains less than a factor 2 in the residual. The values below were
+    measured on one BLAS thread:
 
-    - _KRYLOV_MIN_STATES = 400: LU and GMRES break even between 200 and 300
-      states; from 400 on GMRES was 1.2-3.7x faster on every random shape
-      tried, and below it the LU runs directly.
+    - _KRYLOV_MIN_STATES = 400: the LU and the iteration break even between
+      200 and 300 states; from 400 on the iteration was 2.4-6x faster on
+      every random shape tried, and below it the LU runs directly.
     - _KRYLOV_MAX_DIM = 32: the slowest solve that converged from 400 states
-      on took 26 products (S=400, sparsity 0.05, deterministic policy). A
-      failed attempt costs at most 32 products (about 14 ms at S=1000, half
-      an LU) and a (33, S) basis.
-    - _KRYLOV_WARMUP = 4: the first iteration takes out the mean of b, which
-      the shift made an eigenvector direction, and says little about the
-      rate; the early exit judges the three after it. Without enough mixing
-      (one next state per pair) the residual falls by a factor 0.6-0.8 per
-      iteration; the solve then hands over after 4 products, about 2 ms on
-      top of a 25-30 ms LU at S=1000.
+      on took 27 products (S=400, sparsity 0.05, deterministic policy). A
+      failed attempt costs at most 32 products (about 13 ms at S=1000, half
+      an LU) and two S-vectors.
+    - _KRYLOV_WARMUP = 4: the first step takes out the mean of b, which the
+      shift made an eigenvector direction, and says little about the rate;
+      the hand-over judges the three after it. Without enough mixing (one
+      next state per pair) the residual falls by a factor 0.6-0.8 per step;
+      the solve then hands over after 4 products, about 2 ms on top of a
+      25-30 ms LU at S=1000.
     """
     M = A.T if transposed else A
     if b.shape[0] >= _KRYLOV_MIN_STATES:
         c = discount / (1.0 - discount)
-        if transposed:
-            x = _gmres(M, b + c * b.mean(), discount)
-        else:
-            x = _gmres(M, b, discount)
-            if x is not None:
-                x += c * x.mean()
-        if x is not None:
-            return x
+        rhs = b + c * b.mean() if transposed else b
+        target = _KRYLOV_RTOL * np.linalg.norm(rhs)
+        y, residuals = rhs.copy(), [np.linalg.norm(rhs)]
+        for k in range(1, _KRYLOV_MAX_DIM + 1):
+            r = rhs - M @ y - discount * y.mean()
+            residuals.append(np.linalg.norm(r))
+            if residuals[-1] <= target:
+                return y if transposed else y + c * y.mean()
+            if k >= _KRYLOV_WARMUP:
+                # Hand over once the mean reduction over the last three
+                # steps, kept up until the cap, would not reach the target.
+                rate = (residuals[-1] / residuals[-4]) ** (1 / 3)
+                if residuals[-1] * rate ** (_KRYLOV_MAX_DIM - k) > target:
+                    break
+            y += r
     try:
         return np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1

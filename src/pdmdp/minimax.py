@@ -26,9 +26,10 @@ def check_feasible(instance: DmdpInstance, v, mu) -> tuple[np.ndarray, np.ndarra
     mu = np.asarray(mu, dtype=float)
     if v.shape != (instance.num_states,) or mu.shape != (instance.num_pairs,):
         raise InfeasiblePoint("saddle point has wrong dimensions")
-    if np.abs(v).max() > instance.value_radius + FEASIBILITY_TOL:
+    # Written to fail closed: a NaN entry fails every comparison.
+    if not (np.abs(v).max() <= instance.value_radius + FEASIBILITY_TOL):
         raise InfeasiblePoint("v outside the value box")
-    if np.any(mu < -FEASIBILITY_TOL) or abs(mu.sum() - 1.0) > FEASIBILITY_TOL:
+    if not (np.all(mu >= -FEASIBILITY_TOL) and abs(mu.sum() - 1.0) <= FEASIBILITY_TOL):
         raise InfeasiblePoint("mu outside the simplex")
     mu = np.clip(mu, 0.0, None)
     return v, mu / mu.sum()

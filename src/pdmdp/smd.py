@@ -8,22 +8,8 @@ require the target accuracy up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import DmdpInstance
 from .optimistic_pd import RunOutput, run
-
-
-@dataclass(frozen=True)
-class SmdConfig:
-    accuracy_target: float
-    horizon: int
-
-    def __post_init__(self):
-        if not (0.0 < self.accuracy_target < 1.0):
-            raise ValueError("accuracy target must be in (0, 1)")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
 
 
 def smd_learning_rates(instance: DmdpInstance, epsilon: float) -> tuple[float, float]:
@@ -42,14 +28,15 @@ def run_smd(
     seed: int,
     checkpoints=None,
 ) -> RunOutput:
-    config = SmdConfig(accuracy_target=epsilon, horizon=horizon)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("accuracy target must be in (0, 1)")
     return run(
         instance,
         None,
         q,
-        config.horizon,
+        horizon,
         seed,
         checkpoints,
         mu_estimator="fresh",
-        fixed_rates=smd_learning_rates(instance, config.accuracy_target),
+        fixed_rates=smd_learning_rates(instance, epsilon),
     )

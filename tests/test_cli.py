@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pdmdp import bench
+from pdmdp import bench, exact
 from pdmdp.cli import main
 from pdmdp.core import DmdpError, load_instance
 
@@ -48,6 +48,12 @@ class TestSolveExact:
     def test_unknown_preset_exits_2(self, capsys):
         assert main(["solve-exact", "no-such-preset.json"]) == 3
         assert main(["solve-exact", "hard-m0"]) == 0
+
+    def test_nan_tolerance_exits_2(self, monkeypatch, capsys):
+        # The lowered sweep cap turns a missing check into a fast traceback.
+        monkeypatch.setattr(exact, "_MAX_SWEEPS", 10)
+        assert main(["solve-exact", "three-state", "--tolerance", "nan"]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
 
 class TestInstanceFileTypes:

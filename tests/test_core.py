@@ -158,7 +158,7 @@ def test_policy_sum_judged_exactly():
 
 class TestPairIndexing:
     def test_state_major_layout(self, ex3):
-        assert pair_index(ex3.instance, 1, 0).flat == 2
+        assert pair_index(ex3.instance, 1, 0) == 2
         assert pair_unindex(ex3.instance, 5) == (2, 1)
 
     def test_out_of_range(self, ex3):
@@ -178,7 +178,7 @@ class TestPairIndexing:
         inst = random_instance(num_states, actions, seed=seed)
         for flat in range(inst.num_pairs):
             state, action = pair_unindex(inst, flat)
-            assert pair_index(inst, state, action).flat == flat
+            assert pair_index(inst, state, action) == flat
 
 
 class TestPredictionError:

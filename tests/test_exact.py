@@ -58,6 +58,14 @@ class TestValueIteration:
         sol = value_iteration(ex3.instance, 1e-8)
         assert sol.residual <= 1e-8
 
+    def test_nan_tolerance_rejected(self, ex3, monkeypatch):
+        # No sweep meets a NaN threshold; with the sweep cap lowered, a
+        # missing check shows as RuntimeError instead of a long hang.
+        monkeypatch.setattr(exact, "_MAX_SWEEPS", 10)
+        for tolerance in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError):
+                value_iteration(ex3.instance, tolerance)
+
 
 class TestPolicyEvaluation:
     def test_single_state(self):
@@ -243,17 +251,21 @@ def dense_solutions(instance, policy, q):
 
 
 class TestKrylovSolve:
-    """Above the crossover the solves run GMRES and fall back to LU only when it stalls."""
+    """Above the crossover the solves iterate and fall back to LU only when that is too slow."""
 
     @pytest.mark.parametrize(
         "shape, lu_calls",
         [
             (dict(num_states=1000, actions_per_state=4, sparsity=0.05), 0),
             (dict(num_states=1000, actions_per_state=4, sparsity=0.05, discount=0.99), 0),
-            # One next state per pair: GMRES converges too slowly and hands over.
+            # The slowest shape that still converges: 26-27 products of the
+            # 32 allowed with a deterministic policy.
+            (dict(num_states=400, actions_per_state=4, sparsity=0.05), 0),
+            # One next state per pair: the iteration converges too slowly
+            # and hands over.
             (dict(num_states=1000, actions_per_state=2, sparsity=0.001), 1),
         ],
-        ids=["benchmark-shape", "discount-0.99", "slow-mixing"],
+        ids=["benchmark-shape", "discount-0.99", "slow-converging", "slow-mixing"],
     )
     @pytest.mark.parametrize("deterministic", [False, True], ids=["mixed", "deterministic"])
     def test_matches_dense_solve(self, shape, lu_calls, deterministic):
@@ -275,6 +287,30 @@ class TestKrylovSolve:
         np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
         # Strong duality of the pair: (1 - gamma) q.v_pi = mu_pi.r.
         assert abs((1 - inst.discount) * float(q @ v) - float(mu @ inst.reward)) <= 1e-12
+
+    def test_slow_mixing_hands_over_at_warmup(self, monkeypatch):
+        # The residual falls by 0.6-0.8 per product, so the hand-over fires
+        # as soon as it may: a failed attempt costs _KRYLOV_WARMUP products.
+        class Counting(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counting.products += 1
+                return np.asarray(self) @ other
+
+        system_matrix = exact._system_matrix
+
+        def counting_system_matrix(instance, policy):
+            A, r_pi = system_matrix(instance, policy)
+            return A.view(Counting), r_pi
+
+        monkeypatch.setattr(exact, "_system_matrix", counting_system_matrix)
+        inst = random_instance(1000, 2, sparsity=0.001, seed=5)
+        pol = random_policy(inst, np.random.default_rng(6))
+        occupancy_measure(inst, pol, np.full(inst.num_states, 1e-3))
+        assert Counting.products == exact._KRYLOV_WARMUP
+        policy_evaluation(inst, pol)  # one more product: the residual check
+        assert Counting.products == 2 * exact._KRYLOV_WARMUP + 1
 
     def test_small_instances_use_lu(self, ex3, ex3_solution):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:

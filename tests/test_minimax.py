@@ -53,6 +53,21 @@ class TestLagrangian:
         with pytest.raises(InfeasiblePoint):
             lagrangian(ex3.instance, ex3.q, np.zeros(3), np.full(6, 0.5))
 
+    def test_nan_v_rejected(self, ex3):
+        v = [np.nan, 0.0, 0.0]
+        with pytest.raises(InfeasiblePoint):
+            duality_gap(ex3.instance, ex3.q, v, np.full(6, 1 / 6))
+        with pytest.raises(InfeasiblePoint):
+            lagrangian(ex3.instance, ex3.q, v, np.full(6, 1 / 6))
+
+    def test_nan_mu_rejected(self, ex3):
+        mu = np.full(6, 1 / 6)
+        mu[2] = np.nan
+        with pytest.raises(InfeasiblePoint):
+            duality_gap(ex3.instance, ex3.q, np.zeros(3), mu)
+        with pytest.raises(InfeasiblePoint):
+            lagrangian(ex3.instance, ex3.q, np.zeros(3), mu)
+
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_bilinearity(self, seed, alpha):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from pdmdp.optimistic_pd import run
-from pdmdp.smd import SmdConfig, run_smd, smd_learning_rates
+from pdmdp.smd import run_smd, smd_learning_rates
 
 
 class TestConfig:
-    def test_rejects_bad_accuracy(self):
-        for eps in (0.0, 1.0, -0.5, 2.0):
+    def test_rejects_bad_accuracy(self, ex3):
+        for eps in (0.0, 1.0, -0.5, 2.0, float("nan")):
             with pytest.raises(ValueError):
-                SmdConfig(accuracy_target=eps, horizon=10)
+                run_smd(ex3.instance, ex3.q, 10, eps, seed=0)
 
-    def test_rejects_bad_horizon(self):
+    def test_rejects_bad_horizon(self, ex3):
         with pytest.raises(ValueError):
-            SmdConfig(accuracy_target=0.05, horizon=0)
+            run_smd(ex3.instance, ex3.q, 0, 0.05, seed=0)
 
 
 class TestLearningRates:
