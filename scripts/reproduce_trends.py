@@ -6,7 +6,7 @@ plus the fixed-rate baseline over a geometric horizon grid, many seeds
 each, then writes one combined trace CSV and per-algorithm plot series.
 
 Usage:
-    python3 scripts/reproduce_trends.py --out results/ [--seeds 20] [--threads 4]
+    python3 scripts/reproduce_trends.py --out results/ [--seeds 20] [--threads N]
 """
 
 import argparse

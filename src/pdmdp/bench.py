@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -90,11 +91,20 @@ def resolve_instance(source: str):
     return _with_uniform_q(instance, inaccurate=prediction)
 
 
+def _check_label(label: str, what: str) -> None:
+    """A series label names files and fills a CSV column, so allow no more."""
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
+        raise DmdpError(f"{what} must match [A-Za-z0-9._-]+: {label!r}")
+
+
+_OPTIONAL_STR = (lambda x: x is None or isinstance(x, str), "null or a string")
+
 # JSON type of each config field, checked when the field is present.
 _FIELD_TYPES = {
     "instance": (lambda x: isinstance(x, str), "a string"),
     "prediction": (lambda x: isinstance(x, str), "a string"),
-    "label": (lambda x: x is None or isinstance(x, str), "null or a string"),
+    "label": _OPTIONAL_STR,
+    "out": _OPTIONAL_STR,
     "horizons": (_list_of(_is_int), "a list of integers"),
     "seeds": (_list_of(_is_int), "a list of integers"),
     "q": (lambda x: x is None or _is_number_list(x), "null or a list of numbers"),
@@ -152,6 +162,8 @@ class ExperimentConfig:
                 raise DmdpError("smd takes no prediction")
             if self.epsilon is None:
                 raise DmdpError("smd requires an accuracy target epsilon")
+        if self.label:
+            _check_label(self.label, "config field 'label'")
 
     @property
     def series_label(self) -> str:
@@ -330,6 +342,8 @@ def write_series_files(csv_path, out_dir) -> list:
     """
     rows = read_csv(csv_path)
     series = aggregate_series(rows)
+    for label in series:
+        _check_label(label, "CSV series label")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for label, points in series.items():

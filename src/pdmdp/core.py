@@ -44,10 +44,6 @@ class OutOfRange(DmdpError):
     pass
 
 
-class DegenerateWeights(DmdpError):
-    pass
-
-
 class InfeasiblePoint(DmdpError):
     pass
 

@@ -3,10 +3,8 @@
 These are the ground-truth references for the sampling-based solvers. P_pi
 is assembled from the transition's nonzeros in O(nnz) and P v is summed over
 them. Policy evaluation and occupancy measures solve I - gamma P_pi by a
-fixed-point iteration on a rank-one shift of it from 400 states on, where its
-14-27 dense products cost a fraction of the O(S^3) LU (S=1000, one BLAS
-thread: about 10 ms against 24-35 ms), and with the LU below that size or
-when the iteration converges too slowly; see _solve.
+fixed-point iteration on a rank-one shift of it from 400 states on, and with
+the LU below that size or when the iteration converges too slowly; see _solve.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ DEFAULT_TOLERANCE = 1e-10
 
 _MAX_SWEEPS = 10_000_000
 
-# The iterative solve of _solve: smallest system size, most dense products,
-# products before the hand-over may fire, and relative residual to reach.
-_KRYLOV_MIN_STATES = 400
-_KRYLOV_MAX_DIM = 32
-_KRYLOV_WARMUP = 4
-_KRYLOV_RTOL = 1e-15
+# The fixed-point iteration of _solve: smallest system size, most dense
+# products, products before the hand-over may fire, relative residual to reach.
+_ITER_MIN_STATES = 400
+_ITER_MAX_PRODUCTS = 32
+_ITER_WARMUP = 4
+_ITER_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -113,47 +111,34 @@ def _solve(A: np.ndarray, b: np.ndarray, discount: float, transposed: bool):
     shift is undone exactly, with c = gamma / (1 - gamma): x = y + c mean(y) 1,
     and for A^T the right-hand side b + c mean(b) 1 (1^T A^T x = (1 - gamma)
     1^T x). Each step forms the true residual with one dense product. When
-    P_pi mixes fast, lambda_2 is small: on random_instance(1000, 4,
-    sparsity=0.05) the iteration reaches a relative residual of _KRYLOV_RTOL
-    = 1e-15 in 14-20 products at gamma 0.9 and 16-22 at gamma 0.99, within
-    3e-15 of the LU. That is unrestarted GMRES's count on every system the
-    S=1000 solver runs hand it, and at most one more on the other shapes
-    measured: on a disc of eigenvalues centred at 1, (1 - z)^k is already the
-    best residual polynomial (Zarantonello's lemma; Saad, Iterative Methods
-    for Sparse Linear Systems, ch. 6), so minimising over the same Krylov
-    space gains less than a factor 2 in the residual. The values below were
-    measured on one BLAS thread:
-
-    - _KRYLOV_MIN_STATES = 400: the LU and the iteration break even between
-      200 and 300 states; from 400 on the iteration was 2.4-6x faster on
-      every random shape tried, and below it the LU runs directly.
-    - _KRYLOV_MAX_DIM = 32: the slowest solve that converged from 400 states
-      on took 27 products (S=400, sparsity 0.05, deterministic policy). A
-      failed attempt costs at most 32 products (about 13 ms at S=1000, half
-      an LU) and two S-vectors.
-    - _KRYLOV_WARMUP = 4: the first step takes out the mean of b, which the
-      shift made an eigenvector direction, and says little about the rate;
-      the hand-over judges the three after it. Without enough mixing (one
-      next state per pair) the residual falls by a factor 0.6-0.8 per step;
-      the solve then hands over after 4 products, about 2 ms on top of a
-      25-30 ms LU at S=1000.
+    P_pi mixes fast, lambda_2 is small and the iteration reaches a relative
+    residual of _ITER_RTOL within _ITER_MAX_PRODUCTS products, each O(S^2)
+    against the O(S^3) LU, which runs below _ITER_MIN_STATES. On a disc of
+    eigenvalues centred at 1, (1 - z)^k is already the best residual
+    polynomial (Zarantonello's lemma; Saad, Iterative Methods for Sparse
+    Linear Systems, ch. 6), so a Krylov method over the same products would
+    gain less than a factor 2 in the residual. Without enough mixing the
+    residual falls too slowly to reach the target within _ITER_MAX_PRODUCTS;
+    the solve judges the rate from _ITER_WARMUP products on (the first only
+    takes out the mean of b, which the shift made an eigenvector direction)
+    and hands over to the LU.
     """
     M = A.T if transposed else A
-    if b.shape[0] >= _KRYLOV_MIN_STATES:
+    if b.shape[0] >= _ITER_MIN_STATES:
         c = discount / (1.0 - discount)
         rhs = b + c * b.mean() if transposed else b
-        target = _KRYLOV_RTOL * np.linalg.norm(rhs)
+        target = _ITER_RTOL * np.linalg.norm(rhs)
         y, residuals = rhs.copy(), [np.linalg.norm(rhs)]
-        for k in range(1, _KRYLOV_MAX_DIM + 1):
+        for k in range(1, _ITER_MAX_PRODUCTS + 1):
             r = rhs - M @ y - discount * y.mean()
             residuals.append(np.linalg.norm(r))
             if residuals[-1] <= target:
                 return y if transposed else y + c * y.mean()
-            if k >= _KRYLOV_WARMUP:
+            if k >= _ITER_WARMUP:
                 # Hand over once the mean reduction over the last three
                 # steps, kept up until the cap, would not reach the target.
                 rate = (residuals[-1] / residuals[-4]) ** (1 / 3)
-                if residuals[-1] * rate ** (_KRYLOV_MAX_DIM - k) > target:
+                if residuals[-1] * rate ** (_ITER_MAX_PRODUCTS - k) > target:
                     break
             y += r
     try:
@@ -185,14 +170,3 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < -1e-9):
         raise SingularSystem("occupancy measure left the simplex")
     return np.clip(mu, 0.0, None)
-
-
-__all__ = [
-    "ExactSolution",
-    "apply_bellman",
-    "bellman_residual",
-    "value_iteration",
-    "policy_evaluation",
-    "occupancy_measure",
-    "DEFAULT_TOLERANCE",
-]

@@ -71,7 +71,6 @@ class TracePoint:
 class RunOutput:
     averaged_v: np.ndarray
     averaged_mu: np.ndarray
-    policy: Policy
     trace: list
     ledger: SampleBudgetLedger
 
@@ -85,17 +84,13 @@ def sampled_v_gradient(num_states, gamma, init_state, next_state, state):
     return g
 
 
-def mu_gradient_from_counts(instance, pair_counts, triple_counts, t, v):
+def _averaged_gradient(instance, pair_counts, counts_v, t, v):
     """History-averaged dual gradient estimate at the current value vector.
 
     Equivalent to averaging N (v_i - gamma v_j - r_ia) e_ia over all t past
-    uniform-pair samples, with the counts as sufficient statistic.
+    uniform-pair samples, with the counts as sufficient statistic: pair_counts
+    per pair and counts_v = C @ v for the per-triple count matrix C.
     """
-    return _averaged_gradient(instance, pair_counts, triple_counts @ v, t, v)
-
-
-def _averaged_gradient(instance, pair_counts, counts_v, t, v):
-    """mu_gradient_from_counts given the product counts_v = triple_counts @ v."""
     scale = instance.num_pairs / t
     base = pair_counts * (v[instance.pair_state] - instance.reward)
     return scale * (base - instance.discount * counts_v)
@@ -109,12 +104,6 @@ def fresh_mu_gradient(instance, pair, next_state, v):
         v[state] - instance.discount * v[next_state] - instance.reward[pair]
     )
     return g
-
-
-def predicted_mu_gradient(instance, prediction: PredictionMatrix, v):
-    """Deterministic proxy for the next dual gradient, from the prediction."""
-    v = np.asarray(v, dtype=float)
-    return _dual_gradient(instance, v, prediction.entries @ v)
 
 
 def _dual_gradient(instance, v, next_v):
@@ -317,12 +306,4 @@ def run(
                 )
             )
 
-    averaged_v = sum_v / horizon
-    averaged_mu = sum_mu / horizon
-    return RunOutput(
-        averaged_v=averaged_v,
-        averaged_mu=averaged_mu,
-        policy=extract_policy(instance, averaged_mu),
-        trace=trace,
-        ledger=ledger,
-    )
+    return RunOutput(sum_v / horizon, sum_mu / horizon, trace, ledger)

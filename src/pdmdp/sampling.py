@@ -15,11 +15,11 @@ of BLOCK_SIZE, which yields the same doubles as one generator call per draw.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateWeights, DmdpInstance, NotStochastic, ShapeMismatch
+from .core import DmdpInstance
 
 STREAM_IDS = {"v-side": 0, "mu-side": 1, "initial-state": 2}
 BLOCK_SIZE = 256
@@ -50,24 +50,23 @@ def make_streams(seed: int) -> dict:
 
 @dataclass
 class SampleBudgetLedger:
-    """Counts generative-model transition draws, per pair and per triple."""
+    """Counts generative-model transition draws, per triple and in total."""
 
-    pair_counts: np.ndarray
     triple_counts: np.ndarray
     transition_samples: int = 0
 
     @classmethod
     def for_instance(cls, instance: DmdpInstance) -> "SampleBudgetLedger":
-        return cls(
-            pair_counts=np.zeros(instance.num_pairs, dtype=np.int64),
-            triple_counts=np.zeros(
-                (instance.num_pairs, instance.num_states), dtype=np.int64
-            ),
-        )
+        shape = (instance.num_pairs, instance.num_states)
+        return cls(np.zeros(shape, dtype=np.int64))
+
+    @property
+    def pair_counts(self) -> np.ndarray:
+        """Draws per pair."""
+        return self.triple_counts.sum(axis=1)
 
     def record(self, pair: int, next_state: int) -> None:
         self.transition_samples += 1
-        self.pair_counts[pair] += 1
         self.triple_counts[pair, next_state] += 1
 
 
@@ -79,25 +78,6 @@ def sample_cumulative(cumulative, stream: SeededStream) -> int:
     """
     idx = bisect.bisect_right(cumulative, stream.uniform() * cumulative[-1])
     return min(idx, len(cumulative) - 1)
-
-
-def sample_categorical(weights, stream: SeededStream) -> int:
-    """Draw an index from a probability vector by inverse CDF.
-
-    Does not touch any ledger; intended for draws from known distributions.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ShapeMismatch("weights must be a vector")
-    if not np.all(w >= 0):
-        raise NotStochastic("weights must be nonnegative and not NaN")
-    cumulative = np.cumsum(w)
-    total = cumulative[-1]
-    if total <= 0.0:
-        raise DegenerateWeights("all categorical weights are zero")
-    if not (abs(total - 1.0) <= 1e-9):
-        raise NotStochastic(f"weights must sum to 1, got {total!r}")
-    return sample_cumulative(cumulative, stream)
 
 
 def sample_transition(

@@ -170,6 +170,10 @@ class TestRunCommand:
             {"instance": 3},
             {"prediction": None},
             {"label": ["a"]},
+            {"out": 1},
+            {"out": True},
+            {"label": "../escaped"},
+            {"label": "a,b"},
         ],
     )
     def test_json_field_types_exit_2(self, tmp_path, capsys, overrides):
@@ -205,6 +209,16 @@ class TestFiguresCommand:
         assert float(gap[2]) == pytest.approx(np.std([0.4, 0.2], ddof=1) / np.sqrt(2))
         value = (out_dir / "optimistic-accurate_value.dat").read_text().split()
         assert float(value[1]) == pytest.approx(1.2)
+
+    def test_label_escaping_out_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "trace.csv"
+        csv.write_text(
+            ",".join(bench.CSV_COLUMNS) + "\n../x,0,4,4,8,0.5,1.0,0.1\n"
+        )
+        out_dir = tmp_path / "figs" / "sub"
+        assert main(["figures", "--csv", str(csv), "--out", str(out_dir)]) == 2
+        assert "series label" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["trace.csv"]
 
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -270,7 +270,7 @@ class TestKrylovSolve:
     @pytest.mark.parametrize("deterministic", [False, True], ids=["mixed", "deterministic"])
     def test_matches_dense_solve(self, shape, lu_calls, deterministic):
         inst = random_instance(seed=5, **shape)
-        assert inst.num_states >= exact._KRYLOV_MIN_STATES
+        assert inst.num_states >= exact._ITER_MIN_STATES
         rng = np.random.default_rng(6)
         if deterministic:
             pol = deterministic_policy(inst, rng.integers(0, inst.actions_per_state))
@@ -290,7 +290,7 @@ class TestKrylovSolve:
 
     def test_slow_mixing_hands_over_at_warmup(self, monkeypatch):
         # The residual falls by 0.6-0.8 per product, so the hand-over fires
-        # as soon as it may: a failed attempt costs _KRYLOV_WARMUP products.
+        # as soon as it may: a failed attempt costs _ITER_WARMUP products.
         class Counting(np.ndarray):
             products = 0
 
@@ -308,9 +308,9 @@ class TestKrylovSolve:
         inst = random_instance(1000, 2, sparsity=0.001, seed=5)
         pol = random_policy(inst, np.random.default_rng(6))
         occupancy_measure(inst, pol, np.full(inst.num_states, 1e-3))
-        assert Counting.products == exact._KRYLOV_WARMUP
+        assert Counting.products == exact._ITER_WARMUP
         policy_evaluation(inst, pol)  # one more product: the residual check
-        assert Counting.products == 2 * exact._KRYLOV_WARMUP + 1
+        assert Counting.products == 2 * exact._ITER_WARMUP + 1
 
     def test_small_instances_use_lu(self, ex3, ex3_solution):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
@@ -319,7 +319,7 @@ class TestKrylovSolve:
         assert solve.call_count == 2
 
     def test_zero_rewards(self):
-        S = exact._KRYLOV_MIN_STATES
+        S = exact._ITER_MIN_STATES
         P = random_instance(S, 2, sparsity=0.05).transition
         inst = build_instance(S, [2] * S, P, np.zeros(2 * S), 0.9)
         pol = random_policy(inst, np.random.default_rng(0))

