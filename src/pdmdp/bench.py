@@ -162,8 +162,8 @@ class ExperimentConfig:
                 raise DmdpError("smd takes no prediction")
             if self.epsilon is None:
                 raise DmdpError("smd requires an accuracy target epsilon")
-        if self.label:
-            _check_label(self.label, "config field 'label'")
+        what = "config field 'label'" if self.label else "default label (set 'label')"
+        _check_label(self.series_label, what)
 
     @property
     def series_label(self) -> str:

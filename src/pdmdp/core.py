@@ -105,15 +105,21 @@ def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _validate_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    """Check rows are probability distributions and renormalize exactly."""
+def _validate_rows(rows: np.ndarray, what: str) -> None:
+    """Check rows are probability distributions and renormalize them in place."""
     if np.any(rows < 0) or np.any(rows > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
     sums = rows.sum(axis=1)
     bad = _first_bad_sum(sums, rows.shape[1], lambda i: rows[i])
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
-    return rows / sums[:, None]
+    rows /= sums[:, None]
+
+
+def _column_order(cols: np.ndarray, num_cols: int):
+    """CSC layout of row-major nonzeros: stable sort by column, and pointers."""
+    pointers = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=num_cols))))
+    return np.argsort(cols, kind="stable"), pointers
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ class DmdpInstance:
 
     @cached_property
     def row_cumsum(self) -> np.ndarray:
-        """Per-row cumulative transition probabilities, for inverse-CDF draws."""
+        """Dense per-row cumulative sums of P, kept for the test oracles."""
         return np.cumsum(self.transition, axis=1)
 
     @cached_property
@@ -171,6 +177,30 @@ class DmdpInstance:
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         counts = np.diff(starts, append=rows.size)
         return flat - self.pair_state[rows] * self.num_states, starts, counts
+
+    @cached_property
+    def transition_row_bounds(self) -> tuple[list, list]:
+        """Each pair row's first and one-past-last nonzero, as Python lists."""
+        _, starts, counts = self.transition_csr
+        return starts.tolist(), (starts + counts).tolist()
+
+    @cached_property
+    def transition_cumsum(self) -> np.ndarray:
+        """np.cumsum(P, axis=1) at each nonzero of P, bitwise, over row blocks."""
+        rows, _, _ = self.transition_nonzeros
+        cols, starts, _ = self.transition_csr
+        block = max(1, 2**16 // self.num_states)
+        edges = np.append(starts[::block], rows.size).tolist()
+        return np.concatenate([
+            np.cumsum(self.transition[r : r + block], axis=1)[rows[a:b] - r, cols[a:b]]
+            for r, a, b in zip(range(0, self.num_pairs, block), edges, edges[1:])
+        ])
+
+    @cached_property
+    def transition_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P's CSC layout: each nonzero's slot, each slot's pair row, S + 1 pointers."""
+        order, pointers = _column_order(self.transition_csr[0], self.num_states)
+        return np.argsort(order), self.transition_nonzeros[0][order], pointers
 
     @property
     def value_radius(self) -> float:
@@ -194,7 +224,7 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
         raise ShapeMismatch(
             f"transition must be {(n_pairs, num_states)}, got {P.shape}"
         )
-    P = _validate_rows(P, "transition")
+    _validate_rows(P, "transition")
 
     r = np.array(reward, dtype=float)
     if r.shape != (n_pairs,):
@@ -217,6 +247,13 @@ class PredictionMatrix:
 
     entries: np.ndarray
 
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """E's nonzeros in column order: pair rows, values, S + 1 pointers."""
+        rows, cols = np.nonzero(self.entries)
+        order, pointers = _column_order(cols, self.entries.shape[1])
+        return rows[order], self.entries[rows[order], cols[order]], pointers
+
 
 def build_prediction(instance: DmdpInstance, entries) -> PredictionMatrix:
     E = np.array(entries, dtype=float)
@@ -224,7 +261,7 @@ def build_prediction(instance: DmdpInstance, entries) -> PredictionMatrix:
         raise ShapeMismatch(
             f"prediction must be {instance.transition.shape}, got {E.shape}"
         )
-    E = _validate_rows(E, "prediction")
+    _validate_rows(E, "prediction")
     E.flags.writeable = False
     return PredictionMatrix(E)
 

@@ -12,15 +12,16 @@ baseline. Per iteration it performs, in order:
 Each iteration consumes exactly two generative-model transition samples.
 The dual-side estimator reuses the whole sample history re-weighted at the
 current value iterate, which shrinks its variance like 1/t; the sufficient
-statistic is the per-triple count matrix C, not a sample list.
+statistic is the count C of each triple, a vector over P's nonzeros.
 
 A step costs O(N), not O(N S): it changes at most three coordinates J of v,
 so the engine keeps Cv = C @ v (averaged estimator) and Ev = E @ v (with a
 prediction E) as running state. A sample (i, j) adds v[j] to Cv[i]; the value
-step adds C[:, J] @ dv_J and E[:, J] @ dv_J. Both are recomputed exactly every
-REFRESH_PERIOD steps, which bounds floating-point drift on a schedule that
-does not depend on the horizon, so run(T) is a bitwise prefix of run(T' > T).
-The fresh estimator without a prediction keeps neither product.
+step adds C[:, J] @ dv_J and E[:, J] @ dv_J from the CSC column slices of C
+and E. Both are recomputed exactly every REFRESH_PERIOD steps, which bounds
+floating-point drift on a schedule that does not depend on the horizon, so
+run(T) is a bitwise prefix of run(T' > T). The fresh estimator without a
+prediction keeps neither product.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -109,6 +110,19 @@ def fresh_mu_gradient(instance, pair, next_state, v):
 def _dual_gradient(instance, v, next_v):
     """v_i - gamma next_v_ia - r_ia, given the expected next values next_v."""
     return v[instance.pair_state] - instance.discount * next_v - instance.reward
+
+
+def _split_columns(rows, values, pointers):
+    """Per-column views of a CSC matrix's rows and values."""
+    bounds = pointers.tolist()
+    return [[a[lo:hi] for lo, hi in zip(bounds, bounds[1:])] for a in (rows, values)]
+
+
+def _add_columns(out, rows, values, J, dv_J):
+    """out += M[:, J] @ dv_J in place, M given by per-column rows and values."""
+    for j, dv in zip(J.tolist(), dv_J.tolist()):
+        out[rows[j]] += values[j] * dv
+    return out
 
 
 def v_learning_rate(num_states, gamma, grad_sq_sum):
@@ -211,13 +225,15 @@ def run(
     mu_stream = streams["mu-side"]
     q_stream = streams["initial-state"]
     ledger = SampleBudgetLedger.for_instance(instance)
-    q_cumsum = np.cumsum(q)
-    pair_cumsum = np.cumsum(np.full(num_pairs, 1.0 / num_pairs))
+    # Lists, so that the fixed distributions' draws bisect floats, not numpy scalars.
+    q_cumsum = np.cumsum(q).tolist()
+    pair_cumsum = np.cumsum(np.full(num_pairs, 1.0 / num_pairs)).tolist()
 
     v = np.zeros(num_states)
     mu = np.full(num_pairs, 1.0 / num_pairs)
     if prediction is not None:
         E = prediction.entries
+        e_rows, e_values = _split_columns(*prediction.columns)
         Ev = E @ v
         g_bar = _dual_gradient(instance, v, Ev)
     else:
@@ -234,11 +250,15 @@ def run(
     trace = []
     start = time.perf_counter()
 
-    # Dual-side sample memory: only mu-side draws enter these counts. C is
-    # float and column-major, so C[:, J] is a contiguous gather; Cv = C @ v.
+    # Dual-side sample memory: only mu-side draws enter these counts. C holds
+    # the count of each nonzero of P in its CSC slot; Cv = C @ v.
+    next_states = instance.transition_csr[0]
     if averaged:
+        rows = instance.transition_nonzeros[0]
+        slots, c_rows, c_pointers = instance.transition_csc
         pair_counts = np.zeros(num_pairs)
-        C = np.zeros((num_pairs, num_states), order="F")
+        C = np.zeros(slots.size)
+        c_rows, c_values = _split_columns(c_rows, C, c_pointers)
         Cv = np.zeros(num_pairs)
 
     for t in range(1, horizon + 1):
@@ -247,7 +267,7 @@ def run(
 
         # Value side: sparse stochastic gradient, projected step on its support J.
         pair = sample_cumulative(mu.cumsum(), v_stream)
-        next_state = sample_transition(instance, pair, v_stream, ledger)
+        next_state = next_states[sample_transition(instance, pair, v_stream, ledger)]
         init_state = sample_cumulative(q_cumsum, q_stream)
         g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
         v_grad_sq_sum += float(g_v @ g_v)
@@ -262,10 +282,11 @@ def run(
 
         # Dual side: one new uniform pair, estimator at the current v.
         pair2 = sample_cumulative(pair_cumsum, mu_stream)
-        next2 = sample_transition(instance, pair2, mu_stream, ledger)
+        k2 = sample_transition(instance, pair2, mu_stream, ledger)
+        next2 = next_states[k2]
         if averaged:
             pair_counts[pair2] += 1.0
-            C[pair2, next2] += 1.0
+            C[slots[k2]] += 1.0
             Cv[pair2] += v[next2]
             g_mu = _averaged_gradient(instance, pair_counts, Cv, t, v)
         else:
@@ -275,9 +296,10 @@ def run(
         v[J] = v_J
         refresh = t % REFRESH_PERIOD == 0
         if averaged:
-            Cv = C @ v if refresh else Cv + C[:, J] @ dv_J
+            Cv = (np.bincount(rows, C[slots] * v[next_states], minlength=num_pairs)
+                  if refresh else _add_columns(Cv, c_rows, c_values, J, dv_J))
         if prediction is not None:
-            Ev = E @ v if refresh else Ev + E[:, J] @ dv_J
+            Ev = E @ v if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
             g_bar_next = _dual_gradient(instance, v, Ev)
         else:
             g_bar_next = g_bar  # stays zero

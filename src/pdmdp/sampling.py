@@ -2,9 +2,10 @@
 
 The learning algorithms never touch the transition matrix directly; every
 observation of the model flows through sample_transition, which increments
-the budget ledger. Draws from known distributions (the initial distribution
-and the current dual iterate) use the same inverse-CDF primitive but do not
-count against the budget.
+the budget ledger; a draw returns the index of a nonzero of P, as every next
+state lies in P's support. Draws from known distributions (the initial
+distribution and the current dual iterate) use the same inverse-CDF
+primitive but do not count against the budget.
 
 Streams are named substreams of one master seed, built on a counter-based
 generator, so the draw sequence of one stream is independent of how calls
@@ -50,24 +51,31 @@ def make_streams(seed: int) -> dict:
 
 @dataclass
 class SampleBudgetLedger:
-    """Counts generative-model transition draws, per triple and in total."""
+    """Counts generative-model transition draws, per nonzero of P and in total."""
 
-    triple_counts: np.ndarray
+    instance: DmdpInstance
+    nonzero_counts: np.ndarray
     transition_samples: int = 0
 
     @classmethod
     def for_instance(cls, instance: DmdpInstance) -> "SampleBudgetLedger":
-        shape = (instance.num_pairs, instance.num_states)
-        return cls(np.zeros(shape, dtype=np.int64))
+        return cls(instance, np.zeros(len(instance.transition_nonzeros[0]), np.int64))
+
+    @property
+    def triple_counts(self) -> np.ndarray:
+        """Draws per (pair, next state), as a dense array built on demand."""
+        counts = np.zeros(self.instance.transition.shape, dtype=np.int64)
+        counts[np.nonzero(self.instance.transition)] = self.nonzero_counts
+        return counts
 
     @property
     def pair_counts(self) -> np.ndarray:
         """Draws per pair."""
-        return self.triple_counts.sum(axis=1)
+        return np.add.reduceat(self.nonzero_counts, self.instance.transition_csr[1])
 
-    def record(self, pair: int, next_state: int) -> None:
+    def record(self, k: int) -> None:
         self.transition_samples += 1
-        self.triple_counts[pair, next_state] += 1
+        self.nonzero_counts[k] += 1
 
 
 def sample_cumulative(cumulative, stream: SeededStream) -> int:
@@ -86,7 +94,12 @@ def sample_transition(
     stream: SeededStream,
     ledger: SampleBudgetLedger,
 ) -> int:
-    """One generative-model draw j ~ p(.|pair); increments the ledger."""
-    next_state = sample_cumulative(instance.row_cumsum[pair], stream)
-    ledger.record(pair, next_state)
-    return next_state
+    """One generative-model draw j ~ p(.|pair), returned as the index k of the
+    nonzero (pair, j), so j = transition_csr[0][k]; increments the ledger."""
+    firsts, ends = instance.transition_row_bounds
+    lo, last = firsts[pair], ends[pair] - 1
+    cumulative = instance.transition_cumsum
+    # Bisecting [lo, last) clamps k to the row's last nonzero.
+    k = bisect.bisect_right(cumulative, stream.uniform() * cumulative[last], lo, last)
+    ledger.record(k)
+    return k

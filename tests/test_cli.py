@@ -156,6 +156,23 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
             assert "error:" in capsys.readouterr().err
 
+    def test_default_label_from_prediction_path_exits_2(self, tmp_path, capsys):
+        # Without a label the series is named optimistic-<prediction path>,
+        # which would carry the path's "/" into the CSV and the file names.
+        pred = tmp_path / "preds" / "e.json"
+        pred.parent.mkdir()
+        gen = ["gen-instance", "--preset", "three-state", "--out", str(pred)]
+        assert main(gen + ["--prediction", "inaccurate"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path / "cfg.json", prediction=str(pred))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: default label (set 'label')") and not out.exists()
+        cfg = write_config(tmp_path / "cfg.json", prediction=str(pred), label="from-file")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert {row[0] for row in bench.read_csv(out)} == {"from-file"}
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,3 +397,26 @@ def test_short_run_is_a_bitwise_prefix_of_a_long_run(ex3, solver):
     shared = set(short) & set(long)
     assert len(shared) >= 10
     assert {step: short[step] for step in shared} == {step: long[step] for step in shared}
+
+
+@pytest.mark.parametrize("solver", ["optimistic", "smd"])
+def test_steps_allocate_no_dense_array(solver):
+    # After a warm-up run has built the cached set-up structures, a run
+    # without checkpoints keeps state on P's and E's nonzeros only.
+    inst = random_instance(200, 4, sparsity=0.05)
+    pred = build_prediction(inst, inst.transition)
+    q = np.full(inst.num_states, 1 / inst.num_states)
+
+    def solve(checkpoints):
+        if solver == "smd":
+            return run_smd(inst, q, 50, 0.1, seed=0, checkpoints=checkpoints)
+        return run(inst, pred, q, 50, seed=0, checkpoints=checkpoints)
+
+    solve(None)
+    tracemalloc.start()
+    try:
+        solve([])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.transition.nbytes / 2

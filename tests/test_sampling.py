@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp.instances import three_state_example
+from pdmdp.core import build_instance, build_prediction
+from pdmdp.instances import random_instance, three_state_example
 from pdmdp.sampling import (
     BLOCK_SIZE,
     STREAM_IDS,
@@ -136,10 +137,10 @@ class TestSampleTransition:
         ex = three_state_example()
         ledger = SampleBudgetLedger.for_instance(ex.instance)
         stream = SeededStream(0, "v-side")
-        # Row (0, stay) is a point mass on state 0.
-        assert all(
-            sample_transition(ex.instance, 0, stream, ledger) == 0 for _ in range(30)
-        )
+        # Row (0, stay) is a point mass on state 0, P's first nonzero.
+        next_states = ex.instance.transition_csr[0]
+        draws = [sample_transition(ex.instance, 0, stream, ledger) for _ in range(30)]
+        assert draws == [0] * 30 and set(next_states[draws]) == {0}
 
     def test_reproducible_across_ledgers(self):
         ex = three_state_example()
@@ -151,3 +152,71 @@ class TestSampleTransition:
                 [sample_transition(ex.instance, 4, stream, ledger) for _ in range(40)]
             )
         assert outs[0] == outs[1]
+
+
+def with_point_mass_row(instance, pair, next_state):
+    """The instance with row `pair` of P replaced by a point mass."""
+    P = instance.transition.copy()
+    P[pair] = 0.0
+    P[pair, next_state] = 1.0
+    return build_instance(
+        instance.num_states, instance.actions_per_state, P, instance.reward,
+        instance.discount,
+    )
+
+
+class TestSupportIndexedSampler:
+    """Draws, counts and column forms on P's nonzeros against dense oracles."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            three_state_example().instance,
+            random_instance(40, 3, sparsity=0.1, seed=1),
+            # 2**16 // 300 = 218 rows per block: three blocks, the last short.
+            random_instance(300, 2, sparsity=0.3, seed=2),
+        ],
+    )
+    def test_transition_cumsum_is_dense_cumsum_bitwise(self, instance):
+        rows, cols = np.nonzero(instance.transition)
+        dense = np.cumsum(instance.transition, axis=1)[rows, cols]
+        assert instance.transition_cumsum.tobytes() == dense.tobytes()
+
+    def test_draws_equal_dense_inverse_cdf_draws(self):
+        inst = with_point_mass_row(random_instance(40, 3, sparsity=0.1, seed=3), 7, 12)
+        assert np.count_nonzero(inst.transition[7]) == 1
+        ledger = SampleBudgetLedger.for_instance(inst)
+        ours, dense = SeededStream(21, "mu-side"), SeededStream(21, "mu-side")
+        next_states = inst.transition_csr[0]
+        pairs = [p % inst.num_pairs for p in range(10_080)]
+        got = [int(next_states[sample_transition(inst, p, ours, ledger)]) for p in pairs]
+        want = [sample_cumulative(inst.row_cumsum[p], dense) for p in pairs]
+        assert got == want
+        assert {got[k] for k in range(7, len(pairs), inst.num_pairs)} == {12}
+
+        triples = np.zeros(inst.transition.shape, dtype=np.int64)
+        np.add.at(triples, (pairs, want), 1)
+        np.testing.assert_array_equal(ledger.triple_counts, triples)
+        np.testing.assert_array_equal(ledger.pair_counts, triples.sum(axis=1))
+        assert ledger.transition_samples == len(pairs)
+
+    def test_csc_slots_match_csr_nonzeros(self):
+        inst = random_instance(40, 3, sparsity=0.1, seed=4)
+        rows, cols = np.nonzero(inst.transition)
+        slots, slot_rows, pointers = inst.transition_csc
+        assert sorted(slots.tolist()) == list(range(rows.size))
+        np.testing.assert_array_equal(slot_rows[slots], rows)
+        slot_cols = np.repeat(np.arange(inst.num_states), np.diff(pointers))
+        np.testing.assert_array_equal(slot_cols[slots], cols)
+
+    def test_prediction_columns_reproduce_dense_columns(self):
+        inst = random_instance(40, 3, sparsity=0.1, seed=5)
+        E = build_prediction(inst, random_instance(40, 3, sparsity=0.1, seed=6).transition)
+        rows, values, pointers = E.columns
+        assert pointers[0] == 0 and pointers[-1] == np.count_nonzero(E.entries)
+        for j in range(inst.num_states):
+            lo, hi = pointers[j], pointers[j + 1]
+            assert np.all(np.diff(rows[lo:hi]) > 0)
+            column = np.zeros(inst.num_pairs)
+            column[rows[lo:hi]] = values[lo:hi]
+            assert column.tobytes() == E.entries[:, j].tobytes()
