@@ -186,13 +186,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _resolve_prediction(config, accurate, inaccurate, instance):
+def _resolve_prediction(config, inaccurate, instance):
     if config.prediction == "none":
         return None
     if config.prediction == "accurate":
-        if accurate is None:
-            accurate = build_prediction(instance, instance.transition)
-        return accurate
+        return build_prediction(instance, instance.transition)
     if config.prediction == "inaccurate":
         if inaccurate is None:
             raise DmdpError("this instance ships no inaccurate prediction")
@@ -206,9 +204,11 @@ def _resolve_prediction(config, accurate, inaccurate, instance):
 
 def execute(config: ExperimentConfig, threads: int = 1) -> list:
     """Run the full (seed x horizon) grid; returns canonical sorted rows."""
-    instance, accurate, inaccurate, preset_q = resolve_instance(config.instance)
+    if threads < 1:
+        raise DmdpError(f"threads must be at least 1, got {threads}")
+    instance, _, inaccurate, preset_q = resolve_instance(config.instance)
     q = np.asarray(config.q, dtype=float) if config.q is not None else preset_q
-    prediction = _resolve_prediction(config, accurate, inaccurate, instance)
+    prediction = _resolve_prediction(config, inaccurate, instance)
     label = config.series_label
 
     def one_run(job):

@@ -2,6 +2,7 @@
 
 Every vector over state-action pairs (rewards, occupancy measures, gradients)
 uses one canonical flat layout: state-major, actions in declared order.
+P and a prediction E are held only in CSR form (CsrMatrix).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,35 +107,101 @@ def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _validate_rows(rows: np.ndarray, what: str) -> None:
-    """Check rows are probability distributions and renormalize them in place."""
+class ColumnForm(NamedTuple):
+    """CSC form: each nonzero's slot; per slot, its row and value; column starts."""
+
+    slots: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A matrix held as its nonzeros, row by row (CSR); its fields are fixed.
+
+    Row i has columns cols[starts[i]:starts[i + 1]], increasing, and values
+    vals there. Every row of a stochastic matrix has a nonzero, so the starts
+    increase strictly, as np.add.reduceat needs. np.asarray(M) is the dense M.
+    The arrays stay writeable: np.bincount copies a read-only index array on
+    every call.
+    """
+
+    shape: tuple[int, int]
+    starts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
+
+    @cached_property
+    def bounds(self) -> list:
+        """starts as a Python list, for bisect."""
+        return self.starts.tolist()
+
+    @cached_property
+    def cumsum(self) -> np.ndarray:
+        """np.cumsum(dense, axis=1) at each nonzero, bitwise: adding zeros is exact."""
+        out = self.vals.copy()
+        firsts, lengths = self.starts[:-1], np.diff(self.starts)
+        for j in range(1, int(lengths.max())):
+            k = firsts[lengths > j] + j
+            out[k] += out[k - 1]
+        return out
+
+    @cached_property
+    def csc(self) -> ColumnForm:
+        order = np.argsort(self.cols, kind="stable")
+        starts = np.searchsorted(self.cols[order], np.arange(self.shape[1] + 1))
+        return ColumnForm(np.argsort(order), self.rows[order], self.vals[order], starts)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v, summed over each row's nonzeros."""
+        return np.add.reduceat(self.vals * v[self.cols], self.starts[:-1])
+
+    def apply_t(self, w: np.ndarray) -> np.ndarray:
+        """M^T w, summed over each column's nonzeros."""
+        weights = np.repeat(w, np.diff(self.starts)) * self.vals
+        return np.bincount(self.cols, weights=weights, minlength=self.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.rows, self.cols] = self.vals
+        return dense
+
+
+def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
+    """Check entries are a shape matrix of distributions; return it renormalized."""
+    rows = np.asarray(entries, dtype=float)
+    if rows.shape != shape:
+        raise ShapeMismatch(f"{what} must be {shape}, got {rows.shape}")
     if np.any(rows < 0) or np.any(rows > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
     sums = rows.sum(axis=1)
     bad = _first_bad_sum(sums, rows.shape[1], lambda i: rows[i])
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
-    rows /= sums[:, None]
-
-
-def _column_order(cols: np.ndarray, num_cols: int):
-    """CSC layout of row-major nonzeros: stable sort by column, and pointers."""
-    pointers = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=num_cols))))
-    return np.argsort(cols, kind="stable"), pointers
+    # Flat indices keep both index arrays contiguous; 2-D np.nonzero would not.
+    # A boolean mask halves the scan's time against np.flatnonzero(rows).
+    index, cols = divmod(np.flatnonzero(rows > 0), rows.shape[1])
+    starts = np.searchsorted(index, np.arange(rows.shape[0] + 1))
+    return CsrMatrix(rows.shape, starts, cols, rows[index, cols] / sums[index])
 
 
 @dataclass(frozen=True)
 class DmdpInstance:
     """A finite discounted MDP with a flat state-action pair layout.
 
-    transition has one row per state-action pair (N rows total, state-major)
-    and one column per state. reward is length N with entries in [0, 1].
-    Immutable after construction; build via :func:`build_instance`.
+    transition is P in CSR form, one row per state-action pair (N rows total,
+    state-major) and one column per state. reward is length N with entries in
+    [0, 1]. Immutable after construction; build via :func:`build_instance`.
     """
 
     num_states: int
     actions_per_state: tuple[int, ...]
-    transition: np.ndarray
+    transition: CsrMatrix
     reward: np.ndarray
     discount: float
 
@@ -154,53 +222,10 @@ class DmdpInstance:
         return np.repeat(np.arange(self.num_states), self.actions_per_state)
 
     @cached_property
-    def row_cumsum(self) -> np.ndarray:
-        """Dense per-row cumulative sums of P, kept for the test oracles."""
-        return np.cumsum(self.transition, axis=1)
-
-    @cached_property
-    def transition_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per nonzero of P: pair row, flat (state, next state) index, value."""
-        rows, cols = np.nonzero(self.transition)
-        flat = self.pair_state[rows] * self.num_states + cols
-        return rows, flat, self.transition[rows, cols]
-
-    @cached_property
-    def transition_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rest of P's CSR form: per nonzero its next state; per pair row
-        the index of its first nonzero and its number of nonzeros.
-
-        All index the arrays of transition_nonzeros. Every row of P has a
-        nonzero, so the row starts increase strictly, as np.add.reduceat needs.
-        """
-        rows, flat, _ = self.transition_nonzeros
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        counts = np.diff(starts, append=rows.size)
-        return flat - self.pair_state[rows] * self.num_states, starts, counts
-
-    @cached_property
-    def transition_row_bounds(self) -> tuple[list, list]:
-        """Each pair row's first and one-past-last nonzero, as Python lists."""
-        _, starts, counts = self.transition_csr
-        return starts.tolist(), (starts + counts).tolist()
-
-    @cached_property
-    def transition_cumsum(self) -> np.ndarray:
-        """np.cumsum(P, axis=1) at each nonzero of P, bitwise, over row blocks."""
-        rows, _, _ = self.transition_nonzeros
-        cols, starts, _ = self.transition_csr
-        block = max(1, 2**16 // self.num_states)
-        edges = np.append(starts[::block], rows.size).tolist()
-        return np.concatenate([
-            np.cumsum(self.transition[r : r + block], axis=1)[rows[a:b] - r, cols[a:b]]
-            for r, a, b in zip(range(0, self.num_pairs, block), edges, edges[1:])
-        ])
-
-    @cached_property
-    def transition_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """P's CSC layout: each nonzero's slot, each slot's pair row, S + 1 pointers."""
-        order, pointers = _column_order(self.transition_csr[0], self.num_states)
-        return np.argsort(order), self.transition_nonzeros[0][order], pointers
+    def nonzero_flat(self) -> np.ndarray:
+        """Each nonzero of P's flat (state, next state) index into S x S."""
+        P = self.transition
+        return self.pair_state[P.rows] * self.num_states + P.cols
 
     @property
     def value_radius(self) -> float:
@@ -219,12 +244,7 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
         raise ShapeMismatch("every state needs at least one action")
     n_pairs = sum(actions)
 
-    P = np.array(transition, dtype=float)
-    if P.shape != (n_pairs, num_states):
-        raise ShapeMismatch(
-            f"transition must be {(n_pairs, num_states)}, got {P.shape}"
-        )
-    _validate_rows(P, "transition")
+    P = _validate_rows(transition, (n_pairs, num_states), "transition")
 
     r = np.array(reward, dtype=float)
     if r.shape != (n_pairs,):
@@ -236,7 +256,6 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
     if not (0.0 < gamma < 1.0):
         raise DiscountOutOfRange(f"discount must be in (0, 1), got {gamma}")
 
-    P.flags.writeable = False
     r.flags.writeable = False
     return DmdpInstance(num_states, actions, P, r, gamma)
 
@@ -245,25 +264,14 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
 class PredictionMatrix:
     """A row-stochastic guess of the transition matrix, same shape as P."""
 
-    entries: np.ndarray
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E's nonzeros in column order: pair rows, values, S + 1 pointers."""
-        rows, cols = np.nonzero(self.entries)
-        order, pointers = _column_order(cols, self.entries.shape[1])
-        return rows[order], self.entries[rows[order], cols[order]], pointers
+    entries: CsrMatrix
 
 
 def build_prediction(instance: DmdpInstance, entries) -> PredictionMatrix:
-    E = np.array(entries, dtype=float)
-    if E.shape != instance.transition.shape:
-        raise ShapeMismatch(
-            f"prediction must be {instance.transition.shape}, got {E.shape}"
-        )
-    _validate_rows(E, "prediction")
-    E.flags.writeable = False
-    return PredictionMatrix(E)
+    """Validate a prediction; the instance's own P is taken as it is."""
+    if entries is not instance.transition:
+        entries = _validate_rows(entries, instance.transition.shape, "prediction")
+    return PredictionMatrix(entries)
 
 
 def prediction_error(instance: DmdpInstance, prediction: PredictionMatrix) -> float:
@@ -271,10 +279,10 @@ def prediction_error(instance: DmdpInstance, prediction: PredictionMatrix) -> fl
 
     A pseudometric on row-stochastic matrices with values in [0, 2].
     """
-    E = prediction.entries
-    if E.shape != instance.transition.shape:
+    if prediction.entries.shape != instance.transition.shape:
         raise ShapeMismatch("prediction shape does not match transition shape")
-    return float(np.abs(E - instance.transition).sum(axis=1).max())
+    E, P = np.asarray(prediction.entries), np.asarray(instance.transition)
+    return float(np.abs(E - P).sum(axis=1).max())
 
 
 def pair_index(instance: DmdpInstance, state: int, action: int) -> int:
@@ -347,12 +355,12 @@ def instance_to_dict(instance: DmdpInstance, prediction=None) -> dict:
     doc = {
         "num_states": instance.num_states,
         "actions_per_state": list(instance.actions_per_state),
-        "transition": instance.transition.tolist(),
+        "transition": np.asarray(instance.transition).tolist(),
         "reward": instance.reward.tolist(),
         "discount": instance.discount,
     }
     if prediction is not None:
-        doc["prediction"] = prediction.entries.tolist()
+        doc["prediction"] = np.asarray(prediction.entries).tolist()
     return doc
 
 

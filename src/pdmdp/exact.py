@@ -20,7 +20,6 @@ from .core import (
     check_distribution,
     deterministic_policy,
 )
-from .minimax import transition_apply
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -43,7 +42,7 @@ class ExactSolution:
 
 def apply_bellman(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
     """One Bellman backup: per-state max of r + discount * P v over actions."""
-    x = instance.reward + instance.discount * transition_apply(instance, v)
+    x = instance.reward + instance.discount * instance.transition.apply(v)
     return np.maximum.reduceat(x, instance.state_offsets)
 
 
@@ -74,7 +73,7 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     else:  # pragma: no cover - contraction always terminates
         raise RuntimeError("value iteration failed to converge")
 
-    x = instance.reward + gamma * transition_apply(instance, v)
+    x = instance.reward + gamma * instance.transition.apply(v)
     greedy = [
         int(np.argmax(x[off : off + count]))
         for off, count in zip(instance.state_offsets, instance.actions_per_state)
@@ -85,9 +84,9 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
 
 def _policy_matrices(instance: DmdpInstance, policy: Policy):
     """Collapse pair-indexed P and r to state-indexed P_pi (SxS) and r_pi."""
-    rows, flat, probs = instance.transition_nonzeros
-    S = instance.num_states
-    P_pi = np.bincount(flat, weights=policy.probs[rows] * probs, minlength=S * S)
+    P, S = instance.transition, instance.num_states
+    weights = policy.probs[P.rows] * P.vals
+    P_pi = np.bincount(instance.nonzero_flat, weights=weights, minlength=S * S)
     r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
     return P_pi.reshape(S, S), r_pi
 

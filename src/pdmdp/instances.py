@@ -54,7 +54,7 @@ def three_state_example() -> ThreeStateExample:
     ]
     return ThreeStateExample(
         instance=instance,
-        accurate_prediction=build_prediction(instance, transition),
+        accurate_prediction=build_prediction(instance, instance.transition),
         inaccurate_prediction=build_prediction(instance, wrong),
         q=np.array([0.4, 0.4, 0.2]),
         epsilon=0.05,

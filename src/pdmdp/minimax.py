@@ -35,26 +35,16 @@ def check_feasible(instance: DmdpInstance, v, mu) -> tuple[np.ndarray, np.ndarra
     return v, mu / mu.sum()
 
 
-def transition_apply(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
-    """P v, a vector over state-action pairs, summed over P's nonzeros."""
-    _, _, probs = instance.transition_nonzeros
-    cols, starts, _ = instance.transition_csr
-    return np.add.reduceat(probs * v[cols], starts)
-
-
 def shifted_transition_apply(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
     """(gamma P - Ihat) v, a vector over state-action pairs."""
-    return instance.discount * transition_apply(instance, v) - v[instance.pair_state]
+    return instance.discount * instance.transition.apply(v) - v[instance.pair_state]
 
 
 def shifted_transition_apply_t(instance: DmdpInstance, mu: np.ndarray) -> np.ndarray:
     """(gamma P - Ihat)^T mu, a vector over states."""
-    _, _, probs = instance.transition_nonzeros
-    cols, _, counts = instance.transition_csr
     S = instance.num_states
-    next_state = np.bincount(cols, weights=np.repeat(mu, counts) * probs, minlength=S)
     per_state = np.bincount(instance.pair_state, weights=mu, minlength=S)
-    return instance.discount * next_state - per_state
+    return instance.discount * instance.transition.apply_t(mu) - per_state
 
 
 def lagrangian(instance: DmdpInstance, q, v, mu) -> float:

@@ -18,10 +18,10 @@ A step costs O(N), not O(N S): it changes at most three coordinates J of v,
 so the engine keeps Cv = C @ v (averaged estimator) and Ev = E @ v (with a
 prediction E) as running state. A sample (i, j) adds v[j] to Cv[i]; the value
 step adds C[:, J] @ dv_J and E[:, J] @ dv_J from the CSC column slices of C
-and E. Both are recomputed exactly every REFRESH_PERIOD steps, which bounds
-floating-point drift on a schedule that does not depend on the horizon, so
-run(T) is a bitwise prefix of run(T' > T). The fresh estimator without a
-prediction keeps neither product.
+and E. Both are recomputed over their nonzeros every REFRESH_PERIOD steps,
+which bounds floating-point drift on a schedule that does not depend on the
+horizon, so run(T) is a bitwise prefix of run(T' > T). The fresh estimator
+without a prediction keeps neither product.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -233,8 +233,8 @@ def run(
     mu = np.full(num_pairs, 1.0 / num_pairs)
     if prediction is not None:
         E = prediction.entries
-        e_rows, e_values = _split_columns(*prediction.columns)
-        Ev = E @ v
+        e_rows, e_values = _split_columns(E.csc.rows, E.csc.vals, E.csc.starts)
+        Ev = E.apply(v)
         g_bar = _dual_gradient(instance, v, Ev)
     else:
         g_bar = np.zeros(num_pairs)
@@ -252,13 +252,12 @@ def run(
 
     # Dual-side sample memory: only mu-side draws enter these counts. C holds
     # the count of each nonzero of P in its CSC slot; Cv = C @ v.
-    next_states = instance.transition_csr[0]
+    P = instance.transition
     if averaged:
-        rows = instance.transition_nonzeros[0]
-        slots, c_rows, c_pointers = instance.transition_csc
+        rows, slots = P.rows, P.csc.slots
         pair_counts = np.zeros(num_pairs)
         C = np.zeros(slots.size)
-        c_rows, c_values = _split_columns(c_rows, C, c_pointers)
+        c_rows, c_values = _split_columns(P.csc.rows, C, P.csc.starts)
         Cv = np.zeros(num_pairs)
 
     for t in range(1, horizon + 1):
@@ -267,7 +266,7 @@ def run(
 
         # Value side: sparse stochastic gradient, projected step on its support J.
         pair = sample_cumulative(mu.cumsum(), v_stream)
-        next_state = next_states[sample_transition(instance, pair, v_stream, ledger)]
+        next_state = P.cols[sample_transition(instance, pair, v_stream, ledger)]
         init_state = sample_cumulative(q_cumsum, q_stream)
         g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
         v_grad_sq_sum += float(g_v @ g_v)
@@ -283,7 +282,7 @@ def run(
         # Dual side: one new uniform pair, estimator at the current v.
         pair2 = sample_cumulative(pair_cumsum, mu_stream)
         k2 = sample_transition(instance, pair2, mu_stream, ledger)
-        next2 = next_states[k2]
+        next2 = P.cols[k2]
         if averaged:
             pair_counts[pair2] += 1.0
             C[slots[k2]] += 1.0
@@ -296,10 +295,10 @@ def run(
         v[J] = v_J
         refresh = t % REFRESH_PERIOD == 0
         if averaged:
-            Cv = (np.bincount(rows, C[slots] * v[next_states], minlength=num_pairs)
+            Cv = (np.bincount(rows, C[slots] * v[P.cols], minlength=num_pairs)
                   if refresh else _add_columns(Cv, c_rows, c_values, J, dv_J))
         if prediction is not None:
-            Ev = E @ v if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
+            Ev = E.apply(v) if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
             g_bar_next = _dual_gradient(instance, v, Ev)
         else:
             g_bar_next = g_bar  # stays zero

@@ -2,9 +2,9 @@
 
 The learning algorithms never touch the transition matrix directly; every
 observation of the model flows through sample_transition, which increments
-the budget ledger; a draw returns the index of a nonzero of P, as every next
-state lies in P's support. Draws from known distributions (the initial
-distribution and the current dual iterate) use the same inverse-CDF
+the budget ledger; a draw bisects the row's slice of P's CSR cumsum and
+returns the index of a nonzero of P. Draws from known distributions (the
+initial distribution and the current dual iterate) use the same inverse-CDF
 primitive but do not count against the budget.
 
 Streams are named substreams of one master seed, built on a counter-based
@@ -59,19 +59,21 @@ class SampleBudgetLedger:
 
     @classmethod
     def for_instance(cls, instance: DmdpInstance) -> "SampleBudgetLedger":
-        return cls(instance, np.zeros(len(instance.transition_nonzeros[0]), np.int64))
+        return cls(instance, np.zeros(instance.transition.vals.size, np.int64))
 
     @property
     def triple_counts(self) -> np.ndarray:
         """Draws per (pair, next state), as a dense array built on demand."""
-        counts = np.zeros(self.instance.transition.shape, dtype=np.int64)
-        counts[np.nonzero(self.instance.transition)] = self.nonzero_counts
+        P = self.instance.transition
+        counts = np.zeros(P.shape, dtype=np.int64)
+        counts[P.rows, P.cols] = self.nonzero_counts
         return counts
 
     @property
     def pair_counts(self) -> np.ndarray:
         """Draws per pair."""
-        return np.add.reduceat(self.nonzero_counts, self.instance.transition_csr[1])
+        starts = self.instance.transition.starts
+        return np.add.reduceat(self.nonzero_counts, starts[:-1])
 
     def record(self, k: int) -> None:
         self.transition_samples += 1
@@ -95,10 +97,10 @@ def sample_transition(
     ledger: SampleBudgetLedger,
 ) -> int:
     """One generative-model draw j ~ p(.|pair), returned as the index k of the
-    nonzero (pair, j), so j = transition_csr[0][k]; increments the ledger."""
-    firsts, ends = instance.transition_row_bounds
-    lo, last = firsts[pair], ends[pair] - 1
-    cumulative = instance.transition_cumsum
+    nonzero (pair, j), so j = instance.transition.cols[k]; increments the ledger."""
+    P = instance.transition
+    lo, last = P.bounds[pair], P.bounds[pair + 1] - 1
+    cumulative = P.cumsum
     # Bisecting [lo, last) clamps k to the row's last nonzero.
     k = bisect.bisect_right(cumulative, stream.uniform() * cumulative[last], lo, last)
     ledger.record(k)

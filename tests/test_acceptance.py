@@ -124,6 +124,7 @@ def test_criterion_2_duality_gap_certificates(ex3):
 def test_criterion_3_estimator_unbiasedness(ex3):
     start = time.perf_counter()
     inst = ex3.instance
+    row_cumsum = np.cumsum(np.asarray(inst.transition), axis=1)
     reps = 1_000_000
     rng = np.random.default_rng(2024)
     points = [
@@ -138,7 +139,7 @@ def test_criterion_3_estimator_unbiasedness(ex3):
 
         # Value-side estimator: empirical mean of the 3-sparse gradient.
         pairs = rng.choice(6, size=reps, p=mu)
-        nexts = sample_rows(rng, inst.row_cumsum, pairs)
+        nexts = sample_rows(rng, row_cumsum, pairs)
         inits = rng.choice(3, size=reps, p=ex3.q)
         freq = lambda idx: np.bincount(idx, minlength=3) / reps  # noqa: E731
         mc_v = (
@@ -152,7 +153,7 @@ def test_criterion_3_estimator_unbiasedness(ex3):
         # the history-averaged estimator at any t equals this single-draw
         # mean, so one check covers both variants.
         pairs = rng.integers(0, 6, size=reps)
-        nexts = sample_rows(rng, inst.row_cumsum, pairs)
+        nexts = sample_rows(rng, row_cumsum, pairs)
         w = v[inst.pair_state[pairs]] - inst.discount * v[nexts] - inst.reward[pairs]
         mc_mu = np.zeros(6)
         np.add.at(mc_mu, pairs, 6 * w)
@@ -168,6 +169,7 @@ def test_criterion_3_estimator_unbiasedness(ex3):
 
 def test_criterion_4_dual_estimator_variance_decay(ex3):
     inst = ex3.instance
+    row_cumsum = np.cumsum(np.asarray(inst.transition), axis=1)
     rng = np.random.default_rng(7)
     v = np.array([2.0, -2.0, 1.0])  # anywhere in the value box
     _, g_mu = exact_gradients(inst, ex3.q, v, np.full(6, 1 / 6))
@@ -177,7 +179,7 @@ def test_criterion_4_dual_estimator_variance_decay(ex3):
     ok = True
     for t in (1, 10, 100):
         pairs = rng.integers(0, 6, size=(reps, t))
-        nexts = sample_rows(rng, inst.row_cumsum, pairs.ravel()).reshape(reps, t)
+        nexts = sample_rows(rng, row_cumsum, pairs.ravel()).reshape(reps, t)
         w = v[inst.pair_state[pairs]] - inst.discount * v[nexts] - inst.reward[pairs]
         est = np.zeros((reps, 6))
         rep_idx = np.repeat(np.arange(reps), t)

@@ -103,7 +103,7 @@ class TestGenInstance:
         assert rc == 0
         inst, pred = load_instance(path)
         assert inst.num_pairs == 6
-        assert pred.entries[0].tolist() == [0.0, 1.0, 0.0]
+        assert np.asarray(pred.entries)[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_preset_without_inaccurate_prediction(self, tmp_path, capsys):
         rc = main(
@@ -198,6 +198,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config field") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg, out = write_config(tmp_path / "cfg.json"), tmp_path / "x.csv"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: threads must be at least 1, got {threads}\n"
+        assert not out.exists()
 
     def test_missing_config_exits_3(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -91,7 +92,8 @@ class TestBuildInstance:
                 build_instance(2, [1, 1], row + [[0.0, 1.0]], [0, 0], 0.5)
         else:
             inst = build_instance(2, [1, 1], row + [[0.0, 1.0]], [0, 0], 0.5)
-            np.testing.assert_allclose(inst.transition.sum(axis=1), 1.0, atol=1e-15)
+            P = np.asarray(inst.transition)
+            np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [5000, 20000])
     def test_long_rows_judged_exactly(self, n):
@@ -104,16 +106,16 @@ class TestBuildInstance:
                 row[0] += float(1 + Fraction(sign * target * STOCHASTIC_TOL) - exact_sum(row))
                 legal = abs(exact_sum(row) - 1) <= Fraction(STOCHASTIC_TOL)
                 if legal:
-                    core._validate_rows(row[None, :], "row")
+                    core._validate_rows(row[None, :], (1, n), "row")
                 else:
                     with pytest.raises(NotStochastic):
-                        core._validate_rows(row[None, :], "row")
+                        core._validate_rows(row[None, :], (1, n), "row")
 
     def test_long_rows_not_summed_again(self):
         # Rows far from the tolerance are judged by their float sum alone.
         rows = np.random.default_rng(0).dirichlet(np.ones(5000), size=20)
         with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
-            core._validate_rows(rows, "rows")
+            core._validate_rows(rows, rows.shape, "rows")
         assert fsum.call_count == 0
 
 
@@ -205,7 +207,8 @@ class TestPredictionError:
         b = build_prediction(inst, rows[1])
         d_pa = prediction_error(inst, a)
         d_pb = prediction_error(inst, b)
-        d_ab = float(np.abs(a.entries - b.entries).sum(axis=1).max())
+        E_a, E_b = np.asarray(a.entries), np.asarray(b.entries)
+        d_ab = float(np.abs(E_a - E_b).sum(axis=1).max())
         assert 0.0 <= d_pa <= 2.0
         assert d_pa <= d_pb + d_ab + 1e-12  # triangle inequality
         # Symmetry: swap the roles of the two matrices.
@@ -218,6 +221,71 @@ class TestPredictionError:
         )
         pred_p = build_prediction(inst_b, inst.transition)
         assert prediction_error(inst_b, pred_p) == pytest.approx(d_pa)
+
+
+    def test_accurate_prediction_is_exact(self):
+        inst = random_instance(1000, 4, sparsity=0.05)
+        pred = build_prediction(inst, inst.transition)
+        assert prediction_error(inst, pred) == 0.0
+
+
+def stochastic_rows(rng, num_rows, num_cols):
+    """Random rows summing to 1, about half their entries zero."""
+    rows = rng.dirichlet(np.ones(num_cols), size=num_rows)
+    rows[rng.random(rows.shape) < 0.5] = 0.0
+    rows[np.arange(num_rows), rng.integers(num_cols, size=num_rows)] += 0.5
+    return rows / rows.sum(axis=1)[:, None]
+
+
+def csr_cases():
+    """(dense rows, their CSR form) for P and for a prediction E of P."""
+    rng = np.random.default_rng(0)
+    for actions in ([2, 1, 3], [3] * 40, [1, 4] * 30):
+        S, N = len(actions), sum(actions)
+        P, E = stochastic_rows(rng, N, S), stochastic_rows(rng, N, S)
+        inst = build_instance(S, actions, P, rng.uniform(size=N), 0.9)
+        yield P, inst.transition
+        yield E, build_prediction(inst, E).entries
+
+
+class TestCsrMatrix:
+    """P's and E's CSR form against the dense matrices it was built from."""
+
+    @pytest.mark.parametrize("case", list(csr_cases()))
+    def test_dense_round_trip_is_bitwise(self, case):
+        # The dense form is the input divided by its row sums, entry by entry.
+        dense, M = case
+        assert np.asarray(M).tobytes() == (dense / dense.sum(axis=1)[:, None]).tobytes()
+        rows, cols = np.nonzero(dense)
+        np.testing.assert_array_equal(M.rows, rows)
+        np.testing.assert_array_equal(M.cols, cols)
+        np.testing.assert_array_equal(M.starts, np.searchsorted(rows, range(len(dense) + 1)))
+
+    @pytest.mark.parametrize("case", list(csr_cases()))
+    def test_products_match_dense(self, case):
+        _, M = case
+        dense = np.asarray(M)
+        rng = np.random.default_rng(1)
+        v, w = rng.uniform(-10, 10, M.shape[1]), rng.uniform(-10, 10, M.shape[0])
+        np.testing.assert_allclose(M.apply(v), dense @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(M.apply_t(w), dense.T @ w, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", list(csr_cases()))
+    def test_arrays_contiguous_and_fields_fixed(self, case):
+        _, M = case
+        arrays = [M.starts, M.cols, M.vals, M.rows, M.cumsum, *M.csc]
+        assert all(a.flags.c_contiguous for a in arrays)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            M.vals = M.vals[::-1]
+
+    def test_instance_flat_index_contiguous(self):
+        inst = random_instance(30, 2, sparsity=0.2)
+        flat = inst.nonzero_flat
+        assert flat.flags.c_contiguous
+        P = inst.transition
+        np.testing.assert_array_equal(
+            np.divmod(flat, inst.num_states), (inst.pair_state[P.rows], P.cols)
+        )
 
 
 class TestInstanceFiles:

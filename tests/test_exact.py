@@ -87,7 +87,7 @@ class TestPolicyEvaluation:
         # Independent iterative evaluation of the same policy.
         u = np.zeros(3)
         for _ in range(2000):
-            x = ex3.instance.reward + 0.5 * (ex3.instance.transition @ u)
+            x = ex3.instance.reward + 0.5 * (np.asarray(ex3.instance.transition) @ u)
             u = np.add.reduceat(0.5 * x, ex3.instance.state_offsets)
         np.testing.assert_allclose(v, u, atol=1e-9)
 
@@ -158,7 +158,7 @@ class TestBellmanResidual:
 
 def dense_policy_matrices(instance, policy):
     """P_pi and r_pi through a dense N x S weighted copy of P, as the oracle."""
-    weighted = policy.probs[:, None] * instance.transition
+    weighted = policy.probs[:, None] * np.asarray(instance.transition)
     P_pi = np.add.reduceat(weighted, instance.state_offsets, axis=0)
     r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
     return P_pi, r_pi

@@ -75,22 +75,24 @@ class TestHardFamilyInstance:
         np.testing.assert_allclose(inst.reward[12:], 0.0)
         # End states absorb.
         for k in range(6):
-            row = inst.transition[12 + k]
+            row = np.asarray(inst.transition)[12 + k]
             assert row[8 + k] == 1.0
 
     def test_boosted_chain_loop_probabilities(self):
         spec = HardFamilySpec(m=2, n=3, discount=0.5, epsilon=0.05)
         inst = hard_family(spec)
         # Middle (1, 1) self-loops with base_loop + delta, others base_loop.
-        assert inst.transition[6, 2] == pytest.approx(2 / 3 + 1 / 24)
-        assert inst.transition[7, 3] == pytest.approx(2 / 3)
+        P = np.asarray(inst.transition)
+        assert P[6, 2] == pytest.approx(2 / 3 + 1 / 24)
+        assert P[7, 3] == pytest.approx(2 / 3)
 
     def test_perturbation_distance(self):
         base = HardFamilySpec(m=2, n=3, discount=0.5, epsilon=0.05)
         pert = HardFamilySpec(m=2, n=3, discount=0.5, epsilon=0.05, perturbed=True)
         a = hard_family(base)
         b = hard_family(pert)
-        dist = np.abs(a.transition - b.transition).sum(axis=1).max()
+        P_a, P_b = np.asarray(a.transition), np.asarray(b.transition)
+        dist = np.abs(P_a - P_b).sum(axis=1).max()
         assert dist == pytest.approx(4.0 * base.delta)
 
     def test_perturbed_value_separation(self):
@@ -132,7 +134,8 @@ class TestRandomInstance:
     def test_validity_and_shapes(self):
         inst = random_instance(5, 3, seed=1)
         assert inst.num_pairs == 15
-        np.testing.assert_allclose(inst.transition.sum(axis=1), 1.0, atol=1e-12)
+        P = np.asarray(inst.transition)
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(inst.reward >= 0) and np.all(inst.reward <= 1)
 
     def test_seed_determinism(self):
@@ -145,7 +148,7 @@ class TestRandomInstance:
 
     def test_sparsity_controls_support(self):
         inst = random_instance(10, 2, sparsity=0.3, seed=0)
-        support = (inst.transition > 0).sum(axis=1)
+        support = (np.asarray(inst.transition) > 0).sum(axis=1)
         assert np.all(support <= 3)
         with pytest.raises(SpecOutOfRange):
             random_instance(5, 2, sparsity=0.0)

@@ -197,13 +197,13 @@ class TestFeasibleSets:
 
 def dense_shifted_apply(instance, v):
     """(gamma P - Ihat) v through the dense N x S transition, as the oracle."""
-    return instance.discount * (instance.transition @ v) - v[instance.pair_state]
+    return instance.discount * (np.asarray(instance.transition) @ v) - v[instance.pair_state]
 
 
 def dense_shifted_apply_t(instance, mu):
     """(gamma P - Ihat)^T mu through the dense transition, as the oracle."""
     per_state = np.bincount(instance.pair_state, weights=mu, minlength=instance.num_states)
-    return instance.discount * (instance.transition.T @ mu) - per_state
+    return instance.discount * (np.asarray(instance.transition).T @ mu) - per_state
 
 
 class TestAgainstDenseOracle:

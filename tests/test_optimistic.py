@@ -54,14 +54,14 @@ def dense_reference_run(
     q = check_distribution(q, instance.num_states, "q")
     n, s = instance.num_pairs, instance.num_states
     gamma, radius = instance.discount, instance.value_radius
-    P, r, pair_state = instance.transition, instance.reward, instance.pair_state
+    P, r, pair_state = np.asarray(instance.transition), instance.reward, instance.pair_state
     streams = make_streams(seed)
     v, mu = np.zeros(s), np.full(n, 1.0 / n)
 
     def predicted(v):
         if prediction is None:
             return np.zeros(n)
-        return v[pair_state] - gamma * (prediction.entries @ v) - r
+        return v[pair_state] - gamma * (np.asarray(prediction.entries) @ v) - r
 
     g_bar = predicted(v)
     sum_v, sum_mu = np.zeros(s), np.zeros(n)
@@ -132,7 +132,7 @@ class TestGradientEstimators:
         inst = ex3.instance
         t = 600
         pair_counts = np.full(6, t / 6)
-        triple_counts = (t / 6) * inst.transition
+        triple_counts = (t / 6) * np.asarray(inst.transition)
         rng = np.random.default_rng(1)
         v = rng.uniform(-2, 2, 3)
         got = _averaged_gradient(inst, pair_counts, triple_counts @ v, t, v)
@@ -305,8 +305,9 @@ class TestRun:
         assert out.trace[-1].gap >= -1e-12
 
     def test_rejects_prediction_of_wrong_shape(self, ex3):
-        entries = ex3.accurate_prediction.entries
-        for bad in (np.hstack([entries, np.zeros((6, 1))]), entries[:5]):
+        # Shapes (6, 4) and (5, 3) against the instance's (6, 3).
+        for actions in ([2, 2, 1, 1], [2, 2, 1]):
+            bad = random_instance(len(actions), actions).transition
             with pytest.raises(ShapeMismatch):
                 run(ex3.instance, PredictionMatrix(bad), ex3.q, 10, seed=0)
 
@@ -352,7 +353,7 @@ class TestAgainstDenseReference:
         inst = random_instance(40, 3, sparsity=0.1, seed=6)
         other = random_instance(40, 3, sparsity=0.1, seed=7)
         pred = build_prediction(inst, other.transition)
-        assert np.any((inst.transition > 0) != (pred.entries > 0))
+        assert np.any((np.asarray(inst.transition) > 0) != (np.asarray(pred.entries) > 0))
         q = np.full(40, 1 / 40)
         horizon = 5000
         checkpoints = {4095, 4096, 4097, horizon}
@@ -399,6 +400,38 @@ def test_short_run_is_a_bitwise_prefix_of_a_long_run(ex3, solver):
     assert {step: short[step] for step in shared} == {step: long[step] for step in shared}
 
 
+def reachable_arrays(*roots):
+    """Every ndarray reachable from the roots through attributes and containers."""
+    seen, stack, arrays = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
+def test_no_dense_array_retained():
+    # After a run has built every cached view, the instance, the prediction
+    # and their matrices hold nothing of N x S size.
+    inst = random_instance(200, 4, sparsity=0.05)
+    pred = build_prediction(inst, inst.transition)
+    run(inst, pred, np.full(inst.num_states, 1 / inst.num_states), 50, seed=0)
+    nnz = np.count_nonzero(np.asarray(inst.transition))
+    sizes = [a.size for a in reachable_arrays(inst, pred, inst.transition, pred.entries)]
+    assert nnz in sizes  # the walk reaches the nonzeros
+    assert max(sizes) < inst.num_pairs * inst.num_states
+
+
 @pytest.mark.parametrize("solver", ["optimistic", "smd"])
 def test_steps_allocate_no_dense_array(solver):
     # After a warm-up run has built the cached set-up structures, a run
@@ -419,4 +452,4 @@ def test_steps_allocate_no_dense_array(solver):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < inst.transition.nbytes / 2
+    assert peak < inst.num_pairs * inst.num_states * 8 / 2

@@ -138,7 +138,7 @@ class TestSampleTransition:
         ledger = SampleBudgetLedger.for_instance(ex.instance)
         stream = SeededStream(0, "v-side")
         # Row (0, stay) is a point mass on state 0, P's first nonzero.
-        next_states = ex.instance.transition_csr[0]
+        next_states = ex.instance.transition.cols
         draws = [sample_transition(ex.instance, 0, stream, ledger) for _ in range(30)]
         assert draws == [0] * 30 and set(next_states[draws]) == {0}
 
@@ -156,7 +156,7 @@ class TestSampleTransition:
 
 def with_point_mass_row(instance, pair, next_state):
     """The instance with row `pair` of P replaced by a point mass."""
-    P = instance.transition.copy()
+    P = np.asarray(instance.transition)
     P[pair] = 0.0
     P[pair, next_state] = 1.0
     return build_instance(
@@ -173,24 +173,27 @@ class TestSupportIndexedSampler:
         [
             three_state_example().instance,
             random_instance(40, 3, sparsity=0.1, seed=1),
-            # 2**16 // 300 = 218 rows per block: three blocks, the last short.
+            # 90 nonzeros in each of 600 rows.
             random_instance(300, 2, sparsity=0.3, seed=2),
         ],
     )
     def test_transition_cumsum_is_dense_cumsum_bitwise(self, instance):
-        rows, cols = np.nonzero(instance.transition)
-        dense = np.cumsum(instance.transition, axis=1)[rows, cols]
-        assert instance.transition_cumsum.tobytes() == dense.tobytes()
+        P = np.asarray(instance.transition)
+        rows, cols = np.nonzero(P)
+        dense = np.cumsum(P, axis=1)[rows, cols]
+        assert instance.transition.cumsum.tobytes() == dense.tobytes()
 
     def test_draws_equal_dense_inverse_cdf_draws(self):
         inst = with_point_mass_row(random_instance(40, 3, sparsity=0.1, seed=3), 7, 12)
-        assert np.count_nonzero(inst.transition[7]) == 1
+        P = np.asarray(inst.transition)
+        assert np.count_nonzero(P[7]) == 1
         ledger = SampleBudgetLedger.for_instance(inst)
         ours, dense = SeededStream(21, "mu-side"), SeededStream(21, "mu-side")
-        next_states = inst.transition_csr[0]
+        next_states = inst.transition.cols
         pairs = [p % inst.num_pairs for p in range(10_080)]
         got = [int(next_states[sample_transition(inst, p, ours, ledger)]) for p in pairs]
-        want = [sample_cumulative(inst.row_cumsum[p], dense) for p in pairs]
+        row_cumsum = np.cumsum(P, axis=1)
+        want = [sample_cumulative(row_cumsum[p], dense) for p in pairs]
         assert got == want
         assert {got[k] for k in range(7, len(pairs), inst.num_pairs)} == {12}
 
@@ -202,21 +205,25 @@ class TestSupportIndexedSampler:
 
     def test_csc_slots_match_csr_nonzeros(self):
         inst = random_instance(40, 3, sparsity=0.1, seed=4)
-        rows, cols = np.nonzero(inst.transition)
-        slots, slot_rows, pointers = inst.transition_csc
+        P = np.asarray(inst.transition)
+        rows, cols = np.nonzero(P)
+        csc = inst.transition.csc
+        slots, slot_rows, pointers = csc.slots, csc.rows, csc.starts
         assert sorted(slots.tolist()) == list(range(rows.size))
         np.testing.assert_array_equal(slot_rows[slots], rows)
+        assert csc.vals[slots].tobytes() == P[rows, cols].tobytes()
         slot_cols = np.repeat(np.arange(inst.num_states), np.diff(pointers))
         np.testing.assert_array_equal(slot_cols[slots], cols)
 
     def test_prediction_columns_reproduce_dense_columns(self):
         inst = random_instance(40, 3, sparsity=0.1, seed=5)
         E = build_prediction(inst, random_instance(40, 3, sparsity=0.1, seed=6).transition)
-        rows, values, pointers = E.columns
-        assert pointers[0] == 0 and pointers[-1] == np.count_nonzero(E.entries)
+        csc, dense = E.entries.csc, np.asarray(E.entries)
+        rows, values, pointers = csc.rows, csc.vals, csc.starts
+        assert pointers[0] == 0 and pointers[-1] == np.count_nonzero(dense)
         for j in range(inst.num_states):
             lo, hi = pointers[j], pointers[j + 1]
             assert np.all(np.diff(rows[lo:hi]) > 0)
             column = np.zeros(inst.num_pairs)
             column[rows[lo:hi]] = values[lo:hi]
-            assert column.tobytes() == E.entries[:, j].tobytes()
+            assert column.tobytes() == dense[:, j].tobytes()
