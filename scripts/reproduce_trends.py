@@ -6,7 +6,10 @@ plus the fixed-rate baseline over a geometric horizon grid, many seeds
 each, then writes one combined trace CSV and per-algorithm plot series.
 
 Usage:
-    python3 scripts/reproduce_trends.py --out results/ [--seeds 20] [--threads N]
+    python3 scripts/reproduce_trends.py --out results/ [--seeds 20]
+
+Exits 2 with one 'error: ...' line on stderr, before writing anything, if
+the configs are invalid (for example --seeds 0).
 """
 
 import argparse
@@ -16,6 +19,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pdmdp import bench  # noqa: E402
+from pdmdp.core import DmdpError  # noqa: E402
 
 HORIZONS = [100, 400, 1600, 6400, 16000]
 
@@ -35,15 +39,18 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
+    try:
+        configs = build_configs(args.seeds)
+    except DmdpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
-    configs = build_configs(args.seeds)
     rows = []
     for config in configs:
         print(f"running {config.series_label} ...", flush=True)
-        rows.extend(bench.execute(config, threads=args.threads))
+        rows.extend(bench.execute(config))
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
 
     csv_path = os.path.join(args.out, "three_state_trends.csv")
@@ -60,7 +67,8 @@ def main():
             f"  {label:22s} T={horizon}: gap {gap_mean:.4f} +/- {gap_se:.4f},"
             f" policy value {value_mean:.4f}"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,12 +1,13 @@
 """Experiment orchestration: configs, multi-seed runs, CSV traces, series data.
 
 A config describes one algorithm on one instance over a grid of horizons and
-seeds. Each (seed, horizon) cell is an independent fresh run; checkpoints
-inside a run give additional intermediate points, distinguished by the step
-column. Rows are gathered and sorted canonically before writing, so the CSV
-body is a pure function of the config regardless of scheduling. The
-wall_time column is the one exception and is excluded from determinism
-comparisons.
+seeds. The engine's rates and refresh schedule do not depend on the horizon,
+so run(T) is a bitwise prefix of run(T' > T): each seed is run once, to the
+largest horizon, and a (seed, horizon) cell's rows are that trace's points at
+default_checkpoints(horizon), distinguished by the step column. Rows are
+sorted canonically before writing, so the CSV body is a pure function of the
+config. The wall_time column (time since the start of the seed's run) is the
+one exception and is excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import os
 import re
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +31,10 @@ from .core import (
     _list_of,
     build_prediction,
     load_instance,
+    load_json,
 )
 from .instances import HardFamilySpec, hard_family, random_instance, three_state_example
-from .optimistic_pd import run as run_optimistic
+from .optimistic_pd import default_checkpoints, run as run_optimistic
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = [
@@ -179,8 +180,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise DmdpError("config file must contain a JSON object")
     return ExperimentConfig.from_dict(doc)
@@ -203,41 +203,31 @@ def _resolve_prediction(config, inaccurate, instance):
 
 
 def execute(config: ExperimentConfig, threads: int = 1) -> list:
-    """Run the full (seed x horizon) grid; returns canonical sorted rows."""
+    """Run each seed once to the last horizon; returns canonical sorted rows.
+
+    threads must be at least 1; it changes neither the rows nor the speed.
+    """
     if threads < 1:
         raise DmdpError(f"threads must be at least 1, got {threads}")
     instance, _, inaccurate, preset_q = resolve_instance(config.instance)
     q = np.asarray(config.q, dtype=float) if config.q is not None else preset_q
     prediction = _resolve_prediction(config, inaccurate, instance)
     label = config.series_label
+    schedules = {h: default_checkpoints(h) for h in config.horizons}
+    checkpoints = set().union(*schedules.values())
+    horizon = config.horizons[-1]
 
-    def one_run(job):
-        seed, horizon = job
+    rows = []
+    for seed in config.seeds:
         if config.algorithm == "smd":
-            out = smd.run_smd(instance, q, horizon, config.epsilon, seed)
+            out = smd.run_smd(instance, q, horizon, config.epsilon, seed, checkpoints)
         else:
-            out = run_optimistic(instance, prediction, q, horizon, seed)
-        return [
-            (
-                label,
-                seed,
-                horizon,
-                point.step,
-                point.transition_samples,
-                point.gap,
-                point.value,
-                point.wall_time,
-            )
-            for point in out.trace
-        ]
-
-    jobs = [(seed, horizon) for seed in config.seeds for horizon in config.horizons]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_run, jobs))
-    else:
-        chunks = [one_run(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+            out = run_optimistic(instance, prediction, q, horizon, seed, checkpoints)
+        points = {point.step: point for point in out.trace}
+        for h, steps in schedules.items():
+            for point in map(points.get, steps):
+                rows.append((label, seed, h, point.step, point.transition_samples,
+                             point.gap, point.value, point.wall_time))
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
     return rows
 

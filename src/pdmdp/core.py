@@ -425,10 +425,18 @@ def save_instance(path, instance: DmdpInstance, prediction=None) -> None:
         json.dump(instance_to_dict(instance, prediction), fh, indent=2)
 
 
+def load_json(path):
+    """Parse a JSON file; nesting too deep for the parser is a DmdpError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DmdpError(f"{path}: JSON nested too deeply") from None
+
+
 def load_instance(path):
     """Load and validate an instance file; returns (instance, prediction)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ShapeMismatch("instance file must contain a JSON object")
     return instance_from_dict(doc)

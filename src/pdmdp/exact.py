@@ -59,8 +59,8 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     which guarantees the returned vector is within tolerance of v* in sup norm.
     Greedy actions break ties toward the lowest action index.
     """
-    if not (tolerance > 0):  # also rejects NaN, which no sweep would meet
-        raise ValueError("tolerance must be positive")
+    if not (0 < tolerance < np.inf):  # also rejects NaN, which no sweep would meet
+        raise ValueError("tolerance must be positive and finite")
     gamma = instance.discount
     threshold = tolerance * (1.0 - gamma) / (2.0 * gamma)
     v = np.zeros(instance.num_states)

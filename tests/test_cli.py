@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +53,12 @@ class TestSolveExact:
         assert main(["solve-exact", "hard-m0"]) == 0
 
     def test_nan_tolerance_exits_2(self, monkeypatch, capsys):
-        # The lowered sweep cap turns a missing check into a fast traceback.
+        # The lowered sweep cap turns a missing check into a fast traceback;
+        # an infinite tolerance stops after one sweep with wrong values.
         monkeypatch.setattr(exact, "_MAX_SWEEPS", 10)
-        assert main(["solve-exact", "three-state", "--tolerance", "nan"]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        for tolerance in ("nan", "inf"):
+            assert main(["solve-exact", "three-state", "--tolerance", tolerance]) == 2
+            assert "tolerance" in capsys.readouterr().err
 
 
 class TestInstanceFileTypes:
@@ -214,6 +219,50 @@ class TestRunCommand:
     def test_missing_out_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["run", "--config", str(cfg)]) == 2
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a validation error."""
+
+    @pytest.mark.parametrize("where", ["config", "instance", "prediction", "solve-exact"])
+    def test_exits_2(self, tmp_path, capsys, where):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = ["--out", str(tmp_path / "x.csv")]
+        if where == "config":
+            argv = ["run", "--config", str(deep)] + out
+        elif where == "solve-exact":
+            argv = ["solve-exact", str(deep)]
+        else:
+            cfg = write_config(tmp_path / "cfg.json", label="deep", **{where: str(deep)})
+            argv = ["run", "--config", str(cfg)] + out
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestReproduceTrendsScript:
+    """Invalid arguments stop the script before it creates --out."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_trends.py"
+
+    def invoke(self, out, *args):
+        argv = [sys.executable, str(self.SCRIPT), "--out", str(out), *args]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=60)
+
+    def test_no_seeds_exits_2(self, tmp_path):
+        out = tmp_path / "results"
+        proc = self.invoke(out, "--seeds", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seeds must be non-empty and distinct\n"
+        assert not out.exists()
+
+    def test_threads_option_gone(self, tmp_path):
+        out = tmp_path / "results"
+        proc = self.invoke(out, "--seeds", "1", "--threads", "0")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --threads 0" in proc.stderr
+        assert not out.exists()
 
 
 class TestFiguresCommand:
