@@ -210,7 +210,7 @@ def execute(config: ExperimentConfig, threads: int = 1) -> list:
     if threads < 1:
         raise DmdpError(f"threads must be at least 1, got {threads}")
     instance, _, inaccurate, preset_q = resolve_instance(config.instance)
-    q = np.asarray(config.q, dtype=float) if config.q is not None else preset_q
+    q = config.q if config.q is not None else preset_q
     prediction = _resolve_prediction(config, inaccurate, instance)
     label = config.series_label
     schedules = {h: default_checkpoints(h) for h in config.horizons}

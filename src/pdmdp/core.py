@@ -2,7 +2,9 @@
 
 Every vector over state-action pairs (rewards, occupancy measures, gradients)
 uses one canonical flat layout: state-major, actions in declared order.
-P and a prediction E are held only in CSR form (CsrMatrix).
+P and a prediction E are built, validated, held and saved only in CSR form
+(CsrMatrix): the builders accept a CsrMatrix or hand-written dense rows, and
+dense rows are reduced to their nonzeros before the one CSR check.
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ def _sum_depth(n):
 def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     """Index of the first group whose entries do not sum to 1, else None.
 
-    ``sums[i]`` is the float sum of the ``lengths[i]`` non-negative entries
-    ``group(i)``, as numpy's sum or np.add.reduceat computes it. A group passes
-    when the exact sum of its entries is within STOCHASTIC_TOL of 1; a NaN sum
-    fails. Each entry meets at most d = _sum_depth(n) roundings, so the float
-    sum is off from the exact one by less than d*eps*sum (twice the classical
-    bound, which covers the difference between the float and the exact sum on
-    the right); only groups whose computed deviation lies that close to the
-    tolerance are summed again exactly with math.fsum.
+    ``sums[i]`` is the float sum of ``lengths[i]`` non-negative entries whose
+    nonzeros are ``group(i)``, as numpy's sum or np.add.reduceat computes it.
+    A group passes when the exact sum of its entries is within STOCHASTIC_TOL
+    of 1; a NaN sum fails. Each entry meets at most d = _sum_depth(n)
+    roundings, so the float sum is off from the exact one by less than
+    d*eps*sum (twice the classical bound, which covers the difference between
+    the float and the exact sum on the right); only groups whose computed
+    deviation lies that close to the tolerance are summed again exactly with
+    math.fsum.
     """
     dev = np.abs(sums - 1.0)
     bad = ~(dev <= STOCHASTIC_TOL)
@@ -122,9 +125,9 @@ class CsrMatrix:
 
     Row i has columns cols[starts[i]:starts[i + 1]], increasing, and values
     vals there. Every row of a stochastic matrix has a nonzero, so the starts
-    increase strictly, as np.add.reduceat needs. np.asarray(M) is the dense M.
-    The arrays stay writeable: np.bincount copies a read-only index array on
-    every call.
+    increase strictly, as np.add.reduceat needs. np.asarray(M) is the dense M,
+    for inspection; nothing in the package densifies. The arrays stay
+    writeable: np.bincount copies a read-only index array on every call.
     """
 
     shape: tuple[int, int]
@@ -172,22 +175,92 @@ class CsrMatrix:
         return dense
 
 
+def _array(x, dtype, what: str) -> np.ndarray:
+    """np.asarray(x, dtype); a number outside dtype's range is a DmdpError."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise DmdpError(f"{what}: number out of range for {np.dtype(dtype)}") from None
+
+
+def _csr_entries(M: CsrMatrix, shape: tuple, what: str):
+    """M's row, column and value arrays, after checking M is a well-formed CSR."""
+    if M.shape != shape:
+        raise ShapeMismatch(f"{what} must be {shape}, got {M.shape}")
+    starts, cols = np.asarray(M.starts), np.asarray(M.cols)
+    vals = _array(M.vals, float, what)
+    if not (
+        starts.dtype.kind == cols.dtype.kind == "i"
+        and starts.shape == (shape[0] + 1,)
+        and cols.shape == vals.shape == (cols.size,)
+    ):
+        raise ShapeMismatch(
+            f"{what}: needs {shape[0] + 1} integer starts, "
+            "integer columns and as many values"
+        )
+    cols = cols.astype(np.intp)
+    if starts[0] != 0 or starts[-1] != cols.size or np.any(np.diff(starts) < 0):
+        raise ShapeMismatch(f"{what}: row starts must not decrease from 0 to {cols.size}")
+    if cols.size and (cols.min() < 0 or cols.max() >= shape[1]):
+        raise OutOfRange(f"{what}: next states must lie in [0, {shape[1]})")
+    rows = np.repeat(np.arange(shape[0]), np.diff(starts))
+    if np.any(np.diff(rows * shape[1] + cols) <= 0):
+        raise ShapeMismatch(f"{what}: next states must increase within each row")
+    return rows, cols, vals
+
+
+# Rows per dense block in which _row_sums forms the row sums.
+_SUM_ROWS = 64
+
+
+def _row_sums(shape: tuple, starts, rows, cols, vals) -> np.ndarray:
+    """Each row's sum, bitwise numpy's sum of the dense row.
+
+    The nonzeros of _SUM_ROWS rows at a time are scattered into one reused
+    dense block, which is summed along its rows: the sum runs over the zeros
+    too, in numpy's pairwise order. Summing the nonzeros alone (np.add.reduceat)
+    rounds in another order and would move P by an ulp in many rows.
+    """
+    n = shape[0]
+    sums = np.empty(n)
+    block = np.zeros((_SUM_ROWS, shape[1]))
+    for lo in range(0, n, _SUM_ROWS):
+        hi = min(lo + _SUM_ROWS, n)
+        a, b = starts[lo], starts[hi]
+        at = (rows[a:b] - lo, cols[a:b])
+        block[at] = vals[a:b]
+        sums[lo:hi] = block[: hi - lo].sum(axis=1)
+        block[at] = 0.0
+    return sums
+
+
 def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
-    """Check entries are a shape matrix of distributions; return it renormalized."""
-    rows = np.asarray(entries, dtype=float)
-    if rows.shape != shape:
-        raise ShapeMismatch(f"{what} must be {shape}, got {rows.shape}")
-    if np.any(rows < 0) or np.any(rows > 1):
+    """Check entries are a shape matrix of distributions; return it renormalized.
+
+    entries is a CsrMatrix or dense rows. Dense rows are reduced to their
+    entries != 0 (NaN among them, so that it fails the row-sum check); from
+    there both take the same check, and zero entries are dropped.
+    """
+    if isinstance(entries, CsrMatrix):
+        rows, cols, vals = _csr_entries(entries, shape, what)
+    else:
+        dense = _array(entries, float, what)
+        if dense.shape != shape:
+            raise ShapeMismatch(f"{what} must be {shape}, got {dense.shape}")
+        # Flat indices keep both index arrays contiguous; 2-D np.nonzero would not.
+        rows, cols = divmod(np.flatnonzero(dense != 0), shape[1])
+        vals = dense[rows, cols]
+    if np.any(vals < 0) or np.any(vals > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
-    sums = rows.sum(axis=1)
-    bad = _first_bad_sum(sums, rows.shape[1], lambda i: rows[i])
+    if not vals.all():
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    starts = np.searchsorted(rows, np.arange(shape[0] + 1))
+    sums = _row_sums(shape, starts, rows, cols, vals)
+    bad = _first_bad_sum(sums, shape[1], lambda i: vals[starts[i] : starts[i + 1]])
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
-    # Flat indices keep both index arrays contiguous; 2-D np.nonzero would not.
-    # A boolean mask halves the scan's time against np.flatnonzero(rows).
-    index, cols = divmod(np.flatnonzero(rows > 0), rows.shape[1])
-    starts = np.searchsorted(index, np.arange(rows.shape[0] + 1))
-    return CsrMatrix(rows.shape, starts, cols, rows[index, cols] / sums[index])
+    return CsrMatrix(shape, starts, cols, vals / sums[rows])
 
 
 @dataclass(frozen=True)
@@ -233,8 +306,7 @@ class DmdpInstance:
         return 1.0 / (1.0 - self.discount)
 
 
-def build_instance(num_states, actions_per_state, transition, reward, discount):
-    """Validate raw arrays and construct an immutable DmdpInstance."""
+def _check_actions(num_states, actions_per_state) -> tuple:
     actions = tuple(int(a) for a in actions_per_state)
     if len(actions) != num_states or num_states < 1:
         raise ShapeMismatch(
@@ -242,17 +314,26 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
         )
     if any(a < 1 for a in actions):
         raise ShapeMismatch("every state needs at least one action")
+    return actions
+
+
+def build_instance(num_states, actions_per_state, transition, reward, discount):
+    """Validate raw arrays and construct an immutable DmdpInstance.
+
+    transition is a CsrMatrix or dense rows; see _validate_rows.
+    """
+    actions = _check_actions(num_states, actions_per_state)
     n_pairs = sum(actions)
 
     P = _validate_rows(transition, (n_pairs, num_states), "transition")
 
-    r = np.array(reward, dtype=float)
+    r = _array(reward, float, "reward").copy()
     if r.shape != (n_pairs,):
         raise ShapeMismatch(f"reward must have length {n_pairs}, got {r.shape}")
     if not np.all((r >= 0) & (r <= 1)):
         raise RewardOutOfRange("rewards must lie in [0, 1]")
 
-    gamma = float(discount)
+    gamma = float(_array(discount, float, "discount"))
     if not (0.0 < gamma < 1.0):
         raise DiscountOutOfRange(f"discount must be in (0, 1), got {gamma}")
 
@@ -277,12 +358,20 @@ def build_prediction(instance: DmdpInstance, entries) -> PredictionMatrix:
 def prediction_error(instance: DmdpInstance, prediction: PredictionMatrix) -> float:
     """Worst-case L1 distance between predicted and true transition rows.
 
-    A pseudometric on row-stochastic matrices with values in [0, 2].
+    A pseudometric on row-stochastic matrices with values in [0, 2], summed
+    per row over the union of the two supports.
     """
     if prediction.entries.shape != instance.transition.shape:
         raise ShapeMismatch("prediction shape does not match transition shape")
-    E, P = np.asarray(prediction.entries), np.asarray(instance.transition)
-    return float(np.abs(E - P).sum(axis=1).max())
+    P, E = instance.transition, prediction.entries
+    p_keys, e_keys = (M.rows * M.shape[1] + M.cols for M in (P, E))
+    at = np.minimum(np.searchsorted(p_keys, e_keys), p_keys.size - 1)
+    shared = p_keys[at] == e_keys
+    diff = P.vals.copy()
+    diff[at[shared]] -= E.vals[shared]
+    l1 = np.bincount(P.rows, np.abs(diff), P.shape[0])
+    l1 += np.bincount(E.rows[~shared], E.vals[~shared], P.shape[0])
+    return float(l1.max())
 
 
 def pair_index(instance: DmdpInstance, state: int, action: int) -> int:
@@ -341,7 +430,7 @@ def deterministic_policy(instance: DmdpInstance, actions) -> Policy:
 
 def check_distribution(weights, size: int, what: str = "distribution") -> np.ndarray:
     """Validate a probability vector of the given length (1e-9 sum slack)."""
-    w = np.asarray(weights, dtype=float)
+    w = _array(weights, float, what)
     if w.shape != (size,):
         raise ShapeMismatch(f"{what} must have length {size}")
     if not np.all(w >= 0):
@@ -351,16 +440,27 @@ def check_distribution(weights, size: int, what: str = "distribution") -> np.nda
     return w
 
 
+# Instance documents without a schema_version hold P and E as dense lists of
+# rows (version 1); version 2, which save_instance writes, holds their nonzeros.
+INSTANCE_SCHEMA_VERSION = 2
+_ENTRY_KEYS = ("row", "next_state", "value")
+
+
+def _entries_doc(M: CsrMatrix) -> dict:
+    return dict(zip(_ENTRY_KEYS, (M.rows.tolist(), M.cols.tolist(), M.vals.tolist())))
+
+
 def instance_to_dict(instance: DmdpInstance, prediction=None) -> dict:
     doc = {
+        "schema_version": INSTANCE_SCHEMA_VERSION,
         "num_states": instance.num_states,
         "actions_per_state": list(instance.actions_per_state),
-        "transition": np.asarray(instance.transition).tolist(),
+        "transition": _entries_doc(instance.transition),
         "reward": instance.reward.tolist(),
         "discount": instance.discount,
     }
     if prediction is not None:
-        doc["prediction"] = np.asarray(prediction.entries).tolist()
+        doc["prediction"] = _entries_doc(prediction.entries)
     return doc
 
 
@@ -380,23 +480,56 @@ def _list_of(ok):
     return lambda x: isinstance(x, list) and all(ok(item) for item in x)
 
 
+# One test per distinct element type, so that long lists load fast.
 def _is_number_list(x) -> bool:
-    # One test per distinct element type, so a 4000 x 1000 matrix loads fast.
     return isinstance(x, list) and all(map(_is_number_type, set(map(type, x))))
 
 
-# JSON type of each instance document field, checked when the field is present.
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and set(map(type, x)) <= {int}
+
+
+def _is_entries(x) -> bool:
+    return (
+        isinstance(x, dict)
+        and x.keys() == set(_ENTRY_KEYS)
+        and _is_int_list(x["row"])
+        and _is_int_list(x["next_state"])
+        and _is_number_list(x["value"])
+    )
+
+
+# Per schema version: the JSON type of a transition or prediction field.
+_MATRIX_TYPES = {
+    1: (_list_of(_is_number_list), "a list of lists of numbers"),
+    2: (
+        _is_entries,
+        "an object of integer lists 'row' and 'next_state' and a number list 'value'",
+    ),
+}
+
+# JSON type of each other instance document field, checked when present.
 _INSTANCE_FIELD_TYPES = {
     "num_states": (_is_int, "an integer"),
     "actions_per_state": (_list_of(_is_int), "a list of integers"),
-    "transition": (_list_of(_is_number_list), "a list of lists of numbers"),
     "reward": (_is_number_list, "a list of numbers"),
     "discount": (_is_number, "a number"),
-    "prediction": (
-        lambda x: x is None or _list_of(_is_number_list)(x),
-        "null or a list of lists of numbers",
-    ),
 }
+
+
+def _entries_matrix(doc: dict, shape: tuple, what: str) -> CsrMatrix:
+    """The CsrMatrix of a version-2 entries object, rows checked sorted and in range."""
+    rows, cols = (_array(doc[key], np.intp, what) for key in _ENTRY_KEYS[:2])
+    vals = _array(doc["value"], float, what)
+    if not rows.size == cols.size == vals.size:
+        raise ShapeMismatch(f"{what}: 'row', 'next_state' and 'value' differ in length")
+    # Every row needs an entry; this also bounds the arrays built from shape.
+    if shape[0] > rows.size:
+        raise ShapeMismatch(f"{what}: {rows.size} entries cannot fill {shape[0]} rows")
+    starts = np.searchsorted(rows, np.arange(shape[0] + 1))
+    if not np.array_equal(np.repeat(np.arange(shape[0]), np.diff(starts)), rows):
+        raise ShapeMismatch(f"{what}: 'row' must be sorted and lie in [0, {shape[0]})")
+    return CsrMatrix(shape, starts, cols, vals)
 
 
 def instance_from_dict(doc: dict):
@@ -404,25 +537,40 @@ def instance_from_dict(doc: dict):
     for key in ("num_states", "actions_per_state", "transition", "reward", "discount"):
         if key not in doc:
             raise ShapeMismatch(f"instance document missing field {key!r}")
-    for key, (ok, kind) in _INSTANCE_FIELD_TYPES.items():
+    version = doc.get("schema_version", 1)
+    if not (_is_int(version) and version in _MATRIX_TYPES):
+        raise ShapeMismatch(f"unknown instance schema_version {version!r}")
+    matrix_ok, matrix_kind = _MATRIX_TYPES[version]
+    field_types = {
+        **_INSTANCE_FIELD_TYPES,
+        "transition": (matrix_ok, matrix_kind),
+        "prediction": (lambda x: x is None or matrix_ok(x), f"null or {matrix_kind}"),
+    }
+    for key, (ok, kind) in field_types.items():
         if key in doc and not ok(doc[key]):
             raise ShapeMismatch(f"instance field {key!r} must be {kind}")
+    transition, prediction = doc["transition"], doc.get("prediction")
+    if version == 2:
+        actions = _check_actions(doc["num_states"], doc["actions_per_state"])
+        shape = (sum(actions), doc["num_states"])
+        transition = _entries_matrix(transition, shape, "transition")
+        if prediction is not None:
+            prediction = _entries_matrix(prediction, shape, "prediction")
     instance = build_instance(
         doc["num_states"],
         doc["actions_per_state"],
-        doc["transition"],
+        transition,
         doc["reward"],
         doc["discount"],
     )
-    prediction = None
-    if doc.get("prediction") is not None:
-        prediction = build_prediction(instance, doc["prediction"])
+    if prediction is not None:
+        prediction = build_prediction(instance, prediction)
     return instance, prediction
 
 
 def save_instance(path, instance: DmdpInstance, prediction=None) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance, prediction), fh, indent=2)
+        fh.write(json.dumps(instance_to_dict(instance, prediction)))
 
 
 def load_json(path):

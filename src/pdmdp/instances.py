@@ -1,5 +1,9 @@
 """Instance builders: the three-state benchmark, a three-layer hard family
 with closed-form optimal values, and random instances for property tests.
+
+The hard family and random instances hand build_instance their transition
+as CSR arrays, so no N x S array is formed; the three-state benchmark is
+written out as dense rows.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CsrMatrix,
     DmdpInstance,
     PredictionMatrix,
     SpecOutOfRange,
@@ -118,38 +123,23 @@ def hard_family(spec: HardFamilySpec) -> DmdpInstance:
     """Build the instance. State order: starts, middles row-major, ends."""
     spec.validate()
     m, n = spec.m, spec.n
-    num_states = m + 2 * m * n
-    middle = lambda k, l: m + k * n + l  # noqa: E731 - 0-based here
-    end = lambda k, l: m + m * n + k * n + l  # noqa: E731
-
-    loops = _loop_probabilities(spec)
-    rows = []
-    rewards = []
-    # Start states: action l jumps to middle (k, l), reward 0.
-    for k in range(m):
-        for l in range(n):
-            row = np.zeros(num_states)
-            row[middle(k, l)] = 1.0
-            rows.append(row)
-            rewards.append(0.0)
-    # Middle states: single action, reward 1, self-loop or fall to the end.
-    for k in range(m):
-        for l in range(n):
-            row = np.zeros(num_states)
-            row[middle(k, l)] = loops[k, l]
-            row[end(k, l)] = 1.0 - loops[k, l]
-            rows.append(row)
-            rewards.append(1.0)
-    # End states: absorbing, reward 0.
-    for k in range(m):
-        for l in range(n):
-            row = np.zeros(num_states)
-            row[end(k, l)] = 1.0
-            rows.append(row)
-            rewards.append(0.0)
-
-    actions = [n] * m + [1] * (2 * m * n)
-    return build_instance(num_states, actions, np.array(rows), rewards, spec.discount)
+    chains = m * n
+    num_states = m + 2 * chains
+    # Per chain (k, l), in the same order: the start action jumping to its
+    # middle state; the middle state looping or falling to its end state (the
+    # middle's column is the smaller); the end state absorbing.
+    middles = m + np.arange(chains)
+    ends = middles + chains
+    loops = _loop_probabilities(spec).ravel()
+    cols = np.concatenate((middles, np.stack((middles, ends), axis=1).ravel(), ends))
+    vals = np.concatenate(
+        (np.ones(chains), np.stack((loops, 1.0 - loops), axis=1).ravel(), np.ones(chains))
+    )
+    starts = np.concatenate(([0], np.cumsum(np.repeat([1, 2, 1], chains))))
+    P = CsrMatrix((3 * chains, num_states), starts, cols, vals)
+    rewards = np.repeat([0.0, 1.0, 0.0], chains)
+    actions = [n] * m + [1] * (2 * chains)
+    return build_instance(num_states, actions, P, rewards, spec.discount)
 
 
 def hard_family_optimal_values(spec: HardFamilySpec) -> np.ndarray:
@@ -176,9 +166,16 @@ def random_instance(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     n_pairs = int(sum(actions))
     support_size = max(1, int(round(sparsity * num_states)))
-    P = np.zeros((n_pairs, num_states))
-    for row in P:
-        support = rng.choice(num_states, size=support_size, replace=False)
-        row[support] = rng.dirichlet(np.ones(support_size))
+    cols = np.empty((n_pairs, support_size), dtype=np.intp)
+    vals = np.empty((n_pairs, support_size))
+    alpha = np.ones(support_size)
+    for i in range(n_pairs):
+        cols[i] = rng.choice(num_states, size=support_size, replace=False)
+        vals[i] = rng.dirichlet(alpha)
+    # Each row's support in increasing order, its Dirichlet values with it.
+    order = np.argsort(cols, axis=1)
+    cols, vals = (np.take_along_axis(a, order, axis=1).ravel() for a in (cols, vals))
+    starts = np.arange(0, cols.size + 1, support_size)
+    P = CsrMatrix((n_pairs, num_states), starts, cols, vals)
     reward = rng.uniform(0.0, 1.0, size=n_pairs)
     return build_instance(num_states, actions, P, reward, discount)

@@ -53,27 +53,12 @@ def make_streams(seed: int) -> dict:
 class SampleBudgetLedger:
     """Counts generative-model transition draws, per nonzero of P and in total."""
 
-    instance: DmdpInstance
     nonzero_counts: np.ndarray
     transition_samples: int = 0
 
     @classmethod
     def for_instance(cls, instance: DmdpInstance) -> "SampleBudgetLedger":
-        return cls(instance, np.zeros(instance.transition.vals.size, np.int64))
-
-    @property
-    def triple_counts(self) -> np.ndarray:
-        """Draws per (pair, next state), as a dense array built on demand."""
-        P = self.instance.transition
-        counts = np.zeros(P.shape, dtype=np.int64)
-        counts[P.rows, P.cols] = self.nonzero_counts
-        return counts
-
-    @property
-    def pair_counts(self) -> np.ndarray:
-        """Draws per pair."""
-        starts = self.instance.transition.starts
-        return np.add.reduceat(self.nonzero_counts, starts[:-1])
+        return cls(np.zeros(instance.transition.vals.size, np.int64))
 
     def record(self, k: int) -> None:
         self.transition_samples += 1

@@ -8,7 +8,7 @@ import pytest
 
 from pdmdp import bench, exact
 from pdmdp.cli import main
-from pdmdp.core import DmdpError, load_instance
+from pdmdp.core import DmdpError, load_instance, save_instance
 
 
 def strip_wall_time(path):
@@ -61,6 +61,32 @@ class TestSolveExact:
             assert "tolerance" in capsys.readouterr().err
 
 
+def gen_instance(path, preset="three-state", prediction="accurate"):
+    """Write a preset with gen-instance; returns the parsed document."""
+    args = ["gen-instance", "--preset", preset, "--out", str(path)]
+    assert main(args + (["--prediction", prediction] if prediction else [])) == 0
+    return json.loads(path.read_text())
+
+
+def dense_layout(doc):
+    """The document in the dense layout: no schema_version, P and E as lists of rows."""
+    doc = {key: value for key, value in doc.items() if key != "schema_version"}
+    shape = (sum(doc["actions_per_state"]), doc["num_states"])
+    for key in ("transition", "prediction"):
+        if doc.get(key) is not None:
+            dense = np.zeros(shape)
+            dense[doc[key]["row"], doc[key]["next_state"]] = doc[key]["value"]
+            doc[key] = dense.tolist()
+    return doc
+
+
+def exits_2_with_one_line(argv, capsys, prefix="error: "):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 class TestInstanceFileTypes:
     """Every field of an instance file must have its JSON type; no coercion."""
 
@@ -79,7 +105,7 @@ class TestInstanceFileTypes:
         path = tmp_path / "inst.json"
         args = ["gen-instance", "--preset", "three-state", "--out", str(path)]
         assert main(args + ["--prediction", "accurate"]) == 0
-        doc = json.loads(path.read_text())
+        doc = dense_layout(json.loads(path.read_text()))
         if index is None:
             doc[field] = value
         else:
@@ -89,6 +115,152 @@ class TestInstanceFileTypes:
         assert main(["solve-exact", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: instance field {field!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("num_states", None, 3.0),
+            ("actions_per_state", None, [2.5, 2, 2]),
+            ("discount", None, "0.5"),
+            ("transition", ("value", 0), "1.0"),
+            ("reward", None, [True, False] * 3),
+            ("prediction", ("value", 5), "0.6"),
+            ("transition", ("row", 0), 0.0),
+            ("transition", ("next_state", 1), True),
+            ("prediction", ("row", None), "0"),
+            ("transition", None, [[1.0, 0.0, 0.0]] * 6),
+            ("transition", ("extra", None), []),
+            ("prediction", None, {"row": [0], "value": [1.0]}),
+        ],
+    )
+    def test_wrong_type_exits_2_sparse_layout(self, tmp_path, capsys, field, index, value):
+        path = tmp_path / "inst.json"
+        doc = gen_instance(path)
+        if index is None:
+            doc[field] = value
+        elif index[1] is None:
+            doc[field][index[0]] = value
+        else:
+            doc[field][index[0]][index[1]] = value
+        path.write_text(json.dumps(doc))
+        prefix = f"error: instance field {field!r}"
+        exits_2_with_one_line(["solve-exact", str(path)], capsys, prefix)
+
+
+class TestSparseLayout:
+    """Instance files hold P and E as (row, next state, value) lists."""
+
+    def test_dense_and_sparse_files_load_alike(self, tmp_path):
+        sparse = tmp_path / "sparse.json"
+        doc = gen_instance(sparse, prediction="inaccurate")
+        assert doc["schema_version"] == 2
+        dense = tmp_path / "dense.json"
+        dense.write_text(json.dumps(dense_layout(doc)))
+        (a, pa), (b, pb) = load_instance(sparse), load_instance(dense)
+        for x, y in ((a.transition, b.transition), (pa.entries, pb.entries)):
+            assert all(getattr(x, f).tobytes() == getattr(y, f).tobytes()
+                       for f in ("starts", "cols", "vals"))
+        assert a.reward.tobytes() == b.reward.tobytes() and a.discount == b.discount
+
+    @pytest.mark.parametrize(
+        "preset, prediction",
+        [("three-state", "accurate"), ("three-state", "inaccurate"),
+         ("hard-m0", None), ("hard-mprime", None)],
+    )
+    def test_gen_instance_round_trips_bitwise(self, tmp_path, preset, prediction):
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        gen_instance(path, preset, prediction)
+        inst, pred = load_instance(path)
+        want, accurate, inaccurate, _ = bench.load_preset(preset)
+        want_pred = {"accurate": accurate, "inaccurate": inaccurate}.get(prediction)
+        pairs = [(inst.transition, want.transition)]
+        if prediction:
+            pairs.append((pred.entries, want_pred.entries))
+        else:
+            assert pred is None
+        for x, y in pairs:
+            assert all(getattr(x, f).tobytes() == getattr(y, f).tobytes()
+                       for f in ("starts", "cols", "vals"))
+        assert inst.reward.tobytes() == want.reward.tobytes()
+        save_instance(again, inst, pred)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "row-longer", "next-state-shorter", "value-longer",
+            "row-out-of-range", "row-negative", "next-state-out-of-range",
+            "rows-unsorted", "next-states-unsorted", "duplicate-entry", "missing-row",
+            "prediction-duplicate",
+            "schema-3", "schema-0", "schema-string", "schema-true", "schema-null",
+        ],
+    )
+    def test_malformed_exits_2(self, tmp_path, capsys, case):
+        path = tmp_path / "inst.json"
+        doc = gen_instance(path)
+        edits = {
+            "row-longer": lambda r, c, v: r.append(5),
+            "next-state-shorter": lambda r, c, v: c.pop(),
+            "value-longer": lambda r, c, v: v.append(0.0),
+            "row-out-of-range": lambda r, c, v: r.__setitem__(-1, 6),
+            "row-negative": lambda r, c, v: r.__setitem__(0, -1),
+            "next-state-out-of-range": lambda r, c, v: c.__setitem__(0, 3),
+            # The first two entries' rows swapped: row 1 listed before row 0.
+            "rows-unsorted": lambda r, c, v: r.__setitem__(slice(0, 2), [1, 0]),
+            # Row 1 is (0.4 at state 0, 0.6 at state 2): states reversed.
+            "next-states-unsorted": lambda r, c, v: c.__setitem__(slice(1, 3), [2, 0]),
+            "duplicate-entry": lambda r, c, v: c.__setitem__(2, 0),
+            # Row 0's only entry credited to row 1, which then holds state 0 twice.
+            "missing-row": lambda r, c, v: r.__setitem__(0, 1),
+        }
+        lists = lambda key: (doc[key][k] for k in ("row", "next_state", "value"))  # noqa: E731
+        if case in edits:
+            edits[case](*lists("transition"))
+        elif case == "prediction-duplicate":
+            edits["duplicate-entry"](*lists("prediction"))
+        else:
+            doc["schema_version"] = {"schema-3": 3, "schema-0": 0, "schema-string": "2",
+                                     "schema-true": True, "schema-null": None}[case]
+        path.write_text(json.dumps(doc))
+        exits_2_with_one_line(["solve-exact", str(path)], capsys)
+
+
+class TestHugeIntegers:
+    """A JSON integer too large for a float is a one-line validation error."""
+
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    @pytest.mark.parametrize("field", ["reward", "transition", "discount"])
+    def test_instance_field_exits_2(self, tmp_path, capsys, layout, field):
+        path = tmp_path / "inst.json"
+        doc = gen_instance(path, prediction=None)
+        if layout == "dense":
+            doc = dense_layout(doc)
+        big = 10**400
+        if field == "discount":
+            doc["discount"] = big
+        elif field == "reward":
+            doc["reward"][0] = big
+        elif layout == "dense":
+            doc["transition"][0][0] = big
+        else:
+            doc["transition"]["value"][0] = big
+        path.write_text(json.dumps(doc))
+        exits_2_with_one_line(["solve-exact", str(path)], capsys, f"error: {field}: ")
+
+    @pytest.mark.parametrize("key", ["row", "next_state"])
+    def test_sparse_index_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "inst.json"
+        doc = gen_instance(path, prediction=None)
+        doc["transition"][key][0] = 10**30
+        path.write_text(json.dumps(doc))
+        exits_2_with_one_line(["solve-exact", str(path)], capsys, "error: transition: ")
+
+    def test_config_q_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", q=[10**400, 0, 0])
+        out = tmp_path / "x.csv"
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        exits_2_with_one_line(argv, capsys, "error: q: ")
+        assert not out.exists()
 
 
 class TestGenInstance:

@@ -298,7 +298,16 @@ class TestInstanceFiles:
 
     def test_loader_validates(self, tmp_path):
         doc = instance_to_dict(tiny_instance())
+        del doc["schema_version"]  # the dense layout
         doc["transition"] = [[0.8]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NotStochastic):
+            load_instance(path)
+
+    def test_loader_validates_sparse_layout(self, tmp_path):
+        doc = instance_to_dict(tiny_instance())
+        doc["transition"]["value"] = [0.8]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(NotStochastic):
