@@ -8,8 +8,10 @@ each, then writes one combined trace CSV and per-algorithm plot series.
 Usage:
     python3 scripts/reproduce_trends.py --out results/ [--seeds 20]
 
-Exits 2 with one 'error: ...' line on stderr, before writing anything, if
-the configs are invalid (for example --seeds 0).
+Exit codes follow the pdmdp CLI: 2 with one 'error: ...' line on stderr
+for invalid input, such as --seeds 0 (caught before anything is written),
+and 3 with one 'i/o error: ...' line for a failed read or write, such as
+--out naming an existing file.
 """
 
 import argparse
@@ -19,7 +21,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pdmdp import bench  # noqa: E402
-from pdmdp.core import DmdpError  # noqa: E402
 
 HORIZONS = [100, 400, 1600, 6400, 16000]
 
@@ -35,28 +36,19 @@ def build_configs(num_seeds):
     return [bench.ExperimentConfig.from_dict(doc) for doc in docs]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--seeds", type=int, default=20)
-    args = parser.parse_args()
-
-    try:
-        configs = build_configs(args.seeds)
-    except DmdpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(args.out, exist_ok=True)
+def reproduce(out, num_seeds):
+    configs = build_configs(num_seeds)
+    os.makedirs(out, exist_ok=True)
     rows = []
     for config in configs:
         print(f"running {config.series_label} ...", flush=True)
         rows.extend(bench.execute(config))
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
 
-    csv_path = os.path.join(args.out, "three_state_trends.csv")
+    csv_path = os.path.join(out, "three_state_trends.csv")
     bench.write_csv(csv_path, configs, rows)
     print(f"wrote {csv_path}")
-    for path in bench.write_series_files(csv_path, args.out):
+    for path in bench.write_series_files(csv_path, out):
         print(f"wrote {path}")
 
     series = bench.aggregate_series(rows)
@@ -68,6 +60,21 @@ def main():
             f" policy value {value_mean:.4f}"
         )
     return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="results", help="output directory")
+    parser.add_argument("--seeds", type=int, default=20)
+    args = parser.parse_args()
+    try:
+        return reproduce(args.out, args.seeds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

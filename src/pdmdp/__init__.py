@@ -5,7 +5,6 @@ with optional black-box predictions of the transition matrix.
 from .core import (
     DmdpInstance,
     Policy,
-    PredictionMatrix,
     build_instance,
     build_prediction,
     load_instance,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,7 +30,6 @@ from .core import (
     _is_number,
     _is_number_list,
     _list_of,
-    build_prediction,
     load_instance,
     load_json,
 )
@@ -60,15 +60,14 @@ def _hard_spec(perturbed: bool) -> HardFamilySpec:
 
 def _three_state():
     ex = three_state_example()
-    return ex.instance, ex.accurate_prediction, ex.inaccurate_prediction, ex.q
+    return ex.instance, ex.inaccurate_prediction, ex.q
 
 
 def _with_uniform_q(instance, inaccurate=None):
-    q = np.full(instance.num_states, 1.0 / instance.num_states)
-    return instance, None, inaccurate, q
+    return instance, inaccurate, np.full(instance.num_states, 1.0 / instance.num_states)
 
 
-# Preset name -> builder of (instance, accurate pred, inaccurate pred, q).
+# Preset name -> builder of (instance, inaccurate prediction or None, q).
 PRESETS = {
     "three-state": _three_state,
     "hard-m0": lambda: _with_uniform_q(hard_family(_hard_spec(perturbed=False))),
@@ -78,18 +77,42 @@ PRESETS = {
 
 
 def load_preset(name: str):
-    """Resolve a named preset to (instance, accurate pred, inaccurate pred, q)."""
+    """Resolve a named preset to (instance, P, inaccurate prediction or None, q)."""
     if name not in PRESETS:
         raise DmdpError(f"unknown preset {name!r}")
-    return PRESETS[name]()
+    return resolve_instance(name)
 
 
 def resolve_instance(source: str):
-    """A preset name or a JSON file path -> (instance, acc, inacc, q)."""
+    """A preset name or an instance file path -> (instance, P, inaccurate, q).
+
+    An instance file's own prediction, if it has one, is its inaccurate one.
+    """
     if source in PRESETS:
-        return load_preset(source)
-    instance, prediction = load_instance(source)
-    return _with_uniform_q(instance, inaccurate=prediction)
+        instance, inaccurate, q = PRESETS[source]()
+    else:
+        instance, inaccurate, q = _with_uniform_q(*load_instance(source))
+    return instance, instance.transition, inaccurate, q
+
+
+def resolve_prediction(name: str, instance, inaccurate):
+    """The prediction E a name selects: a CsrMatrix, or None for "none".
+
+    "accurate" is P itself, "inaccurate" the instance's own inaccurate
+    prediction, and any other name an instance file carrying a prediction.
+    """
+    if name == "none":
+        return None
+    if name == "accurate":
+        return instance.transition
+    if name == "inaccurate":
+        if inaccurate is None:
+            raise DmdpError("this instance ships no inaccurate prediction")
+        return inaccurate
+    _, prediction = load_instance(name)
+    if prediction is None:
+        raise ShapeMismatch("prediction file carries no prediction matrix")
+    return prediction
 
 
 def _check_label(label: str, what: str) -> None:
@@ -186,22 +209,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _resolve_prediction(config, inaccurate, instance):
-    if config.prediction == "none":
-        return None
-    if config.prediction == "accurate":
-        return build_prediction(instance, instance.transition)
-    if config.prediction == "inaccurate":
-        if inaccurate is None:
-            raise DmdpError("this instance ships no inaccurate prediction")
-        return inaccurate
-    # Otherwise a path to an instance file carrying a prediction matrix.
-    _, prediction = load_instance(config.prediction)
-    if prediction is None:
-        raise ShapeMismatch("prediction file carries no prediction matrix")
-    return prediction
-
-
 def execute(config: ExperimentConfig, threads: int = 1) -> list:
     """Run each seed once to the last horizon; returns canonical sorted rows.
 
@@ -211,7 +218,7 @@ def execute(config: ExperimentConfig, threads: int = 1) -> list:
         raise DmdpError(f"threads must be at least 1, got {threads}")
     instance, _, inaccurate, preset_q = resolve_instance(config.instance)
     q = config.q if config.q is not None else preset_q
-    prediction = _resolve_prediction(config, inaccurate, instance)
+    prediction = resolve_prediction(config.prediction, instance, inaccurate)
     label = config.series_label
     schedules = {h: default_checkpoints(h) for h in config.horizons}
     checkpoints = set().union(*schedules.values())
@@ -287,18 +294,10 @@ def read_csv(path):
                 continue
             if len(parts) != len(CSV_COLUMNS):
                 raise DmdpError(f"malformed CSV row: {line!r}")
-            rows.append(
-                (
-                    parts[0],
-                    int(parts[1]),
-                    int(parts[2]),
-                    int(parts[3]),
-                    int(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]),
-                    float(parts[7]),
-                )
-            )
+            row = (parts[0], *map(int, parts[1:5]), *map(float, parts[5:]))
+            if not all(map(math.isfinite, row[5:])):
+                raise DmdpError(f"non-finite number in CSV row: {line!r}")
+            rows.append(row)
     if not rows:
         raise DmdpError("CSV contains no data rows")
     return rows
@@ -318,10 +317,12 @@ def aggregate_series(rows):
     for (label, horizon), points in sorted(groups.items()):
         arr = np.array(points)
         n = len(points)
-        se = arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(2)
-        series.setdefault(label, []).append(
-            (horizon, arr[:, 0].mean(), se[0], arr[:, 1].mean(), se[1])
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(2)
+            point = (horizon, arr[:, 0].mean(), se[0], arr[:, 1].mean(), se[1])
+        if not np.isfinite(point[1:]).all():
+            raise DmdpError(f"series {label!r} overflows at horizon {horizon}")
+        series.setdefault(label, []).append(point)
     return series
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bench
@@ -53,14 +52,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
-    instance, accurate, inaccurate, _ = bench.load_preset(args.preset)
-    prediction = None
-    if args.prediction == "accurate":
-        prediction = accurate
-    elif args.prediction == "inaccurate":
-        if inaccurate is None:
-            raise DmdpError(f"preset {args.preset!r} has no inaccurate prediction")
-        prediction = inaccurate
+    instance, _, inaccurate, _ = bench.load_preset(args.preset)
+    prediction = bench.resolve_prediction(args.prediction or "none", instance, inaccurate)
     save_instance(args.out, instance, prediction)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -103,7 +96,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DmdpError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

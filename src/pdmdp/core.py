@@ -2,9 +2,10 @@
 
 Every vector over state-action pairs (rewards, occupancy measures, gradients)
 uses one canonical flat layout: state-major, actions in declared order.
-P and a prediction E are built, validated, held and saved only in CSR form
-(CsrMatrix): the builders accept a CsrMatrix or hand-written dense rows, and
-dense rows are reduced to their nonzeros before the one CSR check.
+P and a prediction E are built, validated, held and saved only in CSR form:
+E is a CsrMatrix of P's shape, and the accurate prediction is P itself. The
+builders accept a CsrMatrix or hand-written dense rows, and dense rows are
+reduced to their nonzeros before the one CSR check.
 """
 
 from __future__ import annotations
@@ -341,29 +342,22 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
     return DmdpInstance(num_states, actions, P, r, gamma)
 
 
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """A row-stochastic guess of the transition matrix, same shape as P."""
-
-    entries: CsrMatrix
-
-
-def build_prediction(instance: DmdpInstance, entries) -> PredictionMatrix:
-    """Validate a prediction; the instance's own P is taken as it is."""
-    if entries is not instance.transition:
-        entries = _validate_rows(entries, instance.transition.shape, "prediction")
-    return PredictionMatrix(entries)
+def build_prediction(instance: DmdpInstance, entries) -> CsrMatrix:
+    """Validate a prediction E of P; the instance's own P is returned as it is."""
+    if entries is instance.transition:
+        return entries
+    return _validate_rows(entries, instance.transition.shape, "prediction")
 
 
-def prediction_error(instance: DmdpInstance, prediction: PredictionMatrix) -> float:
+def prediction_error(instance: DmdpInstance, prediction: CsrMatrix) -> float:
     """Worst-case L1 distance between predicted and true transition rows.
 
     A pseudometric on row-stochastic matrices with values in [0, 2], summed
     per row over the union of the two supports.
     """
-    if prediction.entries.shape != instance.transition.shape:
+    if prediction.shape != instance.transition.shape:
         raise ShapeMismatch("prediction shape does not match transition shape")
-    P, E = instance.transition, prediction.entries
+    P, E = instance.transition, prediction
     p_keys, e_keys = (M.rows * M.shape[1] + M.cols for M in (P, E))
     at = np.minimum(np.searchsorted(p_keys, e_keys), p_keys.size - 1)
     shared = p_keys[at] == e_keys
@@ -460,7 +454,7 @@ def instance_to_dict(instance: DmdpInstance, prediction=None) -> dict:
         "discount": instance.discount,
     }
     if prediction is not None:
-        doc["prediction"] = _entries_doc(prediction.entries)
+        doc["prediction"] = _entries_doc(prediction)
     return doc
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     CsrMatrix,
     DmdpInstance,
-    PredictionMatrix,
     SpecOutOfRange,
     build_instance,
     build_prediction,
@@ -24,7 +23,10 @@ from .core import (
 
 @dataclass(frozen=True)
 class ThreeStateExample:
-    """The benchmark instance plus its two prediction variants.
+    """The benchmark instance plus its two predictions, CsrMatrix like P.
+
+    accurate_prediction is P itself; inaccurate_prediction is a deterministic
+    guess whose prediction_error is 2, the largest possible.
 
     States 0 and 1 choose stay (low reward, self-loop) or leave (medium
     reward, drift toward state 2); state 2 chooses left or right, both
@@ -32,8 +34,8 @@ class ThreeStateExample:
     """
 
     instance: DmdpInstance
-    accurate_prediction: PredictionMatrix
-    inaccurate_prediction: PredictionMatrix
+    accurate_prediction: CsrMatrix
+    inaccurate_prediction: CsrMatrix
     q: np.ndarray
     epsilon: float
 

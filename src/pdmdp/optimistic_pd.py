@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CsrMatrix,
     DmdpInstance,
     Policy,
-    PredictionMatrix,
     ShapeMismatch,
     build_policy,
     check_distribution,
@@ -185,7 +185,7 @@ def default_checkpoints(horizon: int) -> list:
 
 def run(
     instance: DmdpInstance,
-    prediction: PredictionMatrix | None,
+    prediction: CsrMatrix | None,
     q,
     horizon: int,
     seed: int,
@@ -207,10 +207,9 @@ def run(
     if mu_estimator not in ("averaged", "fresh"):
         raise ValueError(f"unknown mu_estimator {mu_estimator!r}")
     q = check_distribution(q, instance.num_states, "q")
-    if prediction is not None and prediction.entries.shape != instance.transition.shape:
+    if prediction is not None and prediction.shape != instance.transition.shape:
         raise ShapeMismatch(
-            f"prediction must be {instance.transition.shape}, "
-            f"got {prediction.entries.shape}"
+            f"prediction must be {instance.transition.shape}, got {prediction.shape}"
         )
 
     num_states = instance.num_states
@@ -232,7 +231,7 @@ def run(
     v = np.zeros(num_states)
     mu = np.full(num_pairs, 1.0 / num_pairs)
     if prediction is not None:
-        E = prediction.entries
+        E = prediction
         e_rows, e_values = _split_columns(E.csc.rows, E.csc.vals, E.csc.starts)
         Ev = E.apply(v)
         g_bar = _dual_gradient(instance, v, Ev)

@@ -157,7 +157,7 @@ class TestSparseLayout:
         dense = tmp_path / "dense.json"
         dense.write_text(json.dumps(dense_layout(doc)))
         (a, pa), (b, pb) = load_instance(sparse), load_instance(dense)
-        for x, y in ((a.transition, b.transition), (pa.entries, pb.entries)):
+        for x, y in ((a.transition, b.transition), (pa, pb)):
             assert all(getattr(x, f).tobytes() == getattr(y, f).tobytes()
                        for f in ("starts", "cols", "vals"))
         assert a.reward.tobytes() == b.reward.tobytes() and a.discount == b.discount
@@ -175,7 +175,7 @@ class TestSparseLayout:
         want_pred = {"accurate": accurate, "inaccurate": inaccurate}.get(prediction)
         pairs = [(inst.transition, want.transition)]
         if prediction:
-            pairs.append((pred.entries, want_pred.entries))
+            pairs.append((pred, want_pred))
         else:
             assert pred is None
         for x, y in pairs:
@@ -280,7 +280,7 @@ class TestGenInstance:
         assert rc == 0
         inst, pred = load_instance(path)
         assert inst.num_pairs == 6
-        assert np.asarray(pred.entries)[0].tolist() == [0.0, 1.0, 0.0]
+        assert np.asarray(pred)[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_preset_without_inaccurate_prediction(self, tmp_path, capsys):
         rc = main(
@@ -295,6 +295,24 @@ class TestGenInstance:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("preset", sorted(bench.PRESETS))
+    def test_accurate_prediction_is_p(self, tmp_path, preset):
+        doc = gen_instance(tmp_path / "inst.json", preset, "accurate")
+        P = bench.load_preset(preset)[0].transition
+        want = {"row": P.rows.tolist(), "next_state": P.cols.tolist(),
+                "value": P.vals.tolist()}
+        # Floats survive JSON by repr, so equal lists are bitwise equal values.
+        assert doc["transition"] == want
+        assert doc.get("prediction") == want
+
+    @pytest.mark.parametrize("preset", ["hard-m0", "hard-mprime", "random"])
+    def test_missing_inaccurate_prediction_exits_2(self, tmp_path, capsys, preset):
+        assert bench.load_preset(preset)[2] is None
+        out = tmp_path / "inst.json"
+        argv = ["gen-instance", "--preset", preset, "--out", str(out)]
+        exits_2_with_one_line(argv + ["--prediction", "inaccurate"], capsys)
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -429,6 +447,14 @@ class TestReproduceTrendsScript:
         assert proc.stderr == "error: seeds must be non-empty and distinct\n"
         assert not out.exists()
 
+    def test_out_naming_a_file_exits_3(self, tmp_path):
+        out = tmp_path / "results"
+        out.write_text("kept")
+        proc = self.invoke(out, "--seeds", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+        assert out.read_text() == "kept"
+
     def test_threads_option_gone(self, tmp_path):
         out = tmp_path / "results"
         proc = self.invoke(out, "--seeds", "1", "--threads", "0")
@@ -466,6 +492,27 @@ class TestFiguresCommand:
         assert main(["figures", "--csv", str(csv), "--out", str(out_dir)]) == 2
         assert "series label" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["trace.csv"]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", [5, 6, 7])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, column, cell):
+        row = ["smd", "0", "4", "4", "8", "0.5", "1.0", "0.1"]
+        row[column] = cell
+        csv = tmp_path / "trace.csv"
+        csv.write_text(",".join(bench.CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--csv", str(csv), "--out", str(out_dir)]
+        exits_2_with_one_line(argv, capsys, "error: non-finite number in CSV row")
+        assert not out_dir.exists()
+
+    def test_overflowing_series_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "trace.csv"
+        rows = [f"smd,{seed},4,4,8,0.5,1.7976931348623157e308,0.1\n" for seed in (0, 1)]
+        csv.write_text(",".join(bench.CSV_COLUMNS) + "\n" + "".join(rows))
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--csv", str(csv), "--out", str(out_dir)]
+        exits_2_with_one_line(argv, capsys, "error: series 'smd' overflows at horizon 4")
+        assert not out_dir.exists()
 
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

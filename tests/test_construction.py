@@ -315,7 +315,7 @@ class TestPredictionErrorOnSupports:
         inst = random_instance(50, [1, 2, 3] * 16 + [2, 2], sparsity=0.1, seed=seed)
         other = random_instance(50, [1, 2, 3] * 16 + [2, 2], sparsity=0.2, seed=seed + 10)
         pred = build_prediction(inst, other.transition)
-        P, E = np.asarray(inst.transition), np.asarray(pred.entries)
+        P, E = np.asarray(inst.transition), np.asarray(pred)
         want = float(np.abs(E - P).sum(axis=1).max())
         assert math.isclose(prediction_error(inst, pred), want, rel_tol=1e-15)
 
@@ -329,7 +329,7 @@ def test_sparse_file_round_trip_at_s1000(tmp_path):
     assert path.stat().st_size < 20e6  # 95 MB in the dense layout
     got, got_pred = load_instance(path)
     # Loading renormalises the saved rows, which moves some entries by an ulp.
-    for a, b in ((got.transition, inst.transition), (got_pred.entries, pred.entries)):
+    for a, b in ((got.transition, inst.transition), (got_pred, pred)):
         assert a.starts.tobytes() == b.starts.tobytes()
         assert a.cols.tobytes() == b.cols.tobytes()
         np.testing.assert_allclose(a.vals, b.vals, rtol=1e-15, atol=0)

@@ -207,7 +207,7 @@ class TestPredictionError:
         b = build_prediction(inst, rows[1])
         d_pa = prediction_error(inst, a)
         d_pb = prediction_error(inst, b)
-        E_a, E_b = np.asarray(a.entries), np.asarray(b.entries)
+        E_a, E_b = np.asarray(a), np.asarray(b)
         d_ab = float(np.abs(E_a - E_b).sum(axis=1).max())
         assert 0.0 <= d_pa <= 2.0
         assert d_pa <= d_pb + d_ab + 1e-12  # triangle inequality
@@ -215,7 +215,7 @@ class TestPredictionError:
         inst_b = build_instance(
             inst.num_states,
             inst.actions_per_state,
-            a.entries,
+            a,
             inst.reward,
             inst.discount,
         )
@@ -245,7 +245,7 @@ def csr_cases():
         P, E = stochastic_rows(rng, N, S), stochastic_rows(rng, N, S)
         inst = build_instance(S, actions, P, rng.uniform(size=N), 0.9)
         yield P, inst.transition
-        yield E, build_prediction(inst, E).entries
+        yield E, build_prediction(inst, E)
 
 
 class TestCsrMatrix:
@@ -294,7 +294,7 @@ class TestInstanceFiles:
         save_instance(path, ex3.instance, ex3.inaccurate_prediction)
         inst, pred = load_instance(path)
         np.testing.assert_array_equal(inst.transition, ex3.instance.transition)
-        np.testing.assert_array_equal(pred.entries, ex3.inaccurate_prediction.entries)
+        np.testing.assert_array_equal(pred, ex3.inaccurate_prediction)
 
     def test_loader_validates(self, tmp_path):
         doc = instance_to_dict(tiny_instance())

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pdmdp.core import (
     NotStochastic,
-    PredictionMatrix,
     ShapeMismatch,
     build_instance,
     build_policy,
@@ -61,7 +60,7 @@ def dense_reference_run(
     def predicted(v):
         if prediction is None:
             return np.zeros(n)
-        return v[pair_state] - gamma * (np.asarray(prediction.entries) @ v) - r
+        return v[pair_state] - gamma * (np.asarray(prediction) @ v) - r
 
     g_bar = predicted(v)
     sum_v, sum_mu = np.zeros(s), np.zeros(n)
@@ -142,7 +141,7 @@ class TestGradientEstimators:
     def test_predicted_gradient_matches_exact_when_accurate(self, ex3):
         rng = np.random.default_rng(2)
         v = rng.uniform(-2, 2, 3)
-        pred = _dual_gradient(ex3.instance, v, ex3.accurate_prediction.entries @ v)
+        pred = _dual_gradient(ex3.instance, v, ex3.accurate_prediction @ v)
         _, g_mu = exact_gradients(ex3.instance, ex3.q, v, np.full(6, 1 / 6))
         np.testing.assert_allclose(pred, g_mu, atol=1e-12)
 
@@ -309,7 +308,7 @@ class TestRun:
         for actions in ([2, 2, 1, 1], [2, 2, 1]):
             bad = random_instance(len(actions), actions).transition
             with pytest.raises(ShapeMismatch):
-                run(ex3.instance, PredictionMatrix(bad), ex3.q, 10, seed=0)
+                run(ex3.instance, bad, ex3.q, 10, seed=0)
 
     def test_rejects_bad_arguments(self, ex3):
         with pytest.raises(ValueError):
@@ -353,7 +352,7 @@ class TestAgainstDenseReference:
         inst = random_instance(40, 3, sparsity=0.1, seed=6)
         other = random_instance(40, 3, sparsity=0.1, seed=7)
         pred = build_prediction(inst, other.transition)
-        assert np.any((np.asarray(inst.transition) > 0) != (np.asarray(pred.entries) > 0))
+        assert np.any((np.asarray(inst.transition) > 0) != (np.asarray(pred) > 0))
         q = np.full(40, 1 / 40)
         horizon = 5000
         checkpoints = {4095, 4096, 4097, horizon}
@@ -427,7 +426,7 @@ def test_no_dense_array_retained():
     pred = build_prediction(inst, inst.transition)
     run(inst, pred, np.full(inst.num_states, 1 / inst.num_states), 50, seed=0)
     nnz = np.count_nonzero(np.asarray(inst.transition))
-    sizes = [a.size for a in reachable_arrays(inst, pred, inst.transition, pred.entries)]
+    sizes = [a.size for a in reachable_arrays(inst, pred, inst.transition, pred)]
     assert nnz in sizes  # the walk reaches the nonzeros
     assert max(sizes) < inst.num_pairs * inst.num_states
 

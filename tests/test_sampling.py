@@ -233,7 +233,7 @@ class TestSupportIndexedSampler:
     def test_prediction_columns_reproduce_dense_columns(self):
         inst = random_instance(40, 3, sparsity=0.1, seed=5)
         E = build_prediction(inst, random_instance(40, 3, sparsity=0.1, seed=6).transition)
-        csc, dense = E.entries.csc, np.asarray(E.entries)
+        csc, dense = E.csc, np.asarray(E)
         rows, values, pointers = csc.rows, csc.vals, csc.starts
         assert pointers[0] == 0 and pointers[-1] == np.count_nonzero(dense)
         for j in range(inst.num_states):
