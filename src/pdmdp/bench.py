@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smd
-from .core import (
-    DmdpError,
-    ShapeMismatch,
-    _is_int,
-    _is_number,
-    _is_number_list,
-    _list_of,
-    load_instance,
-    load_json,
-)
+from .core import DmdpError, ShapeMismatch, check_fields, load_instance, load_json
 from .instances import HardFamilySpec, hard_family, random_instance, three_state_example
 from .optimistic_pd import default_checkpoints, run as run_optimistic
 
@@ -121,18 +112,16 @@ def _check_label(label: str, what: str) -> None:
         raise DmdpError(f"{what} must match [A-Za-z0-9._-]+: {label!r}")
 
 
-_OPTIONAL_STR = (lambda x: x is None or isinstance(x, str), "null or a string")
-
 # JSON type of each config field, checked when the field is present.
 _FIELD_TYPES = {
-    "instance": (lambda x: isinstance(x, str), "a string"),
-    "prediction": (lambda x: isinstance(x, str), "a string"),
-    "label": _OPTIONAL_STR,
-    "out": _OPTIONAL_STR,
-    "horizons": (_list_of(_is_int), "a list of integers"),
-    "seeds": (_list_of(_is_int), "a list of integers"),
-    "q": (lambda x: x is None or _is_number_list(x), "null or a list of numbers"),
-    "epsilon": (lambda x: x is None or _is_number(x), "null or a number"),
+    "instance": "a string",
+    "prediction": "a string",
+    "label": "null or a string",
+    "out": "null or a string",
+    "horizons": "a list of integers",
+    "seeds": "a list of non-negative integers",
+    "q": "null or a list of numbers",
+    "epsilon": "null or a number",
 }
 
 
@@ -150,23 +139,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        for key, (ok, kind) in _FIELD_TYPES.items():
-            if key in doc and not ok(doc[key]):
-                raise DmdpError(f"config field {key!r} must be {kind}: {doc[key]!r}")
-        try:
-            cfg = cls(
-                instance=doc["instance"],
-                algorithm=doc["algorithm"],
-                prediction=doc.get("prediction", "none"),
-                horizons=list(doc["horizons"]),
-                seeds=list(doc["seeds"]),
-                q=doc.get("q"),
-                epsilon=doc.get("epsilon"),
-                label=doc.get("label"),
-                raw=dict(doc),
-            )
-        except KeyError as exc:
-            raise DmdpError(f"config missing field {exc.args[0]!r}") from exc
+        required = ("instance", "algorithm", "horizons", "seeds")
+        check_fields(doc, required, _FIELD_TYPES, "config")
+        cfg = cls(
+            instance=doc["instance"],
+            algorithm=doc["algorithm"],
+            prediction=doc.get("prediction", "none"),
+            horizons=list(doc["horizons"]),
+            seeds=list(doc["seeds"]),
+            q=doc.get("q"),
+            epsilon=doc.get("epsilon"),
+            label=doc.get("label"),
+            raw=dict(doc),
+        )
         cfg.validate()
         return cfg
 
@@ -203,10 +188,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise DmdpError("config file must contain a JSON object")
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(load_json(path))
 
 
 def execute(config: ExperimentConfig, threads: int = 1) -> list:

@@ -59,8 +59,15 @@ def _cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: one 'error: ...' line, exit 2."""
+
+    def error(self, message):  # repr escapes newlines in unrecognized arguments
+        raise DmdpError(f"{self.prog}: {repr(message)[1:-1]}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdmdp",
         description="Primal-dual DMDP solver and benchmark harness",
     )
@@ -93,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 Every vector over state-action pairs (rewards, occupancy measures, gradients)
 uses one canonical flat layout: state-major, actions in declared order.
 P and a prediction E are built, validated, held and saved only in CSR form:
-E is a CsrMatrix of P's shape, and the accurate prediction is P itself. The
-builders accept a CsrMatrix or hand-written dense rows, and dense rows are
-reduced to their nonzeros before the one CSR check.
+E is a CsrMatrix of P's shape, and the accurate prediction is P itself. A
+CsrMatrix, an instance file's entries object and dense rows all reduce to one
+(rows, cols, vals) triple, which takes one check; check_fields checks the JSON
+types of every document read from outside.
 """
 
 from __future__ import annotations
@@ -177,36 +178,63 @@ class CsrMatrix:
 
 
 def _array(x, dtype, what: str) -> np.ndarray:
-    """np.asarray(x, dtype); a number outside dtype's range is a DmdpError."""
+    """np.asarray(x, dtype); anything it cannot convert is a DmdpError naming what."""
     try:
         return np.asarray(x, dtype=dtype)
     except OverflowError:
         raise DmdpError(f"{what}: number out of range for {np.dtype(dtype)}") from None
+    except ValueError:
+        raise DmdpError(f"{what}: must be numbers, in rows of equal length") from None
 
 
-def _csr_entries(M: CsrMatrix, shape: tuple, what: str):
-    """M's row, column and value arrays, after checking M is a well-formed CSR."""
-    if M.shape != shape:
-        raise ShapeMismatch(f"{what} must be {shape}, got {M.shape}")
-    starts, cols = np.asarray(M.starts), np.asarray(M.cols)
-    vals = _array(M.vals, float, what)
+# Keys of a version-2 entries object, which lists a matrix's nonzeros.
+_ENTRY_KEYS = ("row", "next_state", "value")
+
+
+def _entries(M, shape: tuple, what: str):
+    """The (rows, cols, vals) of M's entries, checked to describe a shape matrix.
+
+    M is a CsrMatrix, a version-2 entries object or dense rows; dense rows are
+    reduced to their entries != 0, NaN among them. Every form then takes one
+    check: integer rows and columns, as many values, every index in range and
+    the entries in row-major order without repeats.
+    """
+    if isinstance(M, CsrMatrix):
+        if M.shape != shape:
+            raise ShapeMismatch(f"{what} must be {shape}, got {M.shape}")
+        starts = np.asarray(M.starts)
+        if (
+            not (starts.dtype.kind == "i" and starts.shape == (shape[0] + 1,))
+            or starts[0] != 0
+            or np.any(np.diff(starts) < 0)
+        ):
+            raise ShapeMismatch(f"{what}: needs {shape[0] + 1} integer row starts "
+                                "that do not decrease from 0")
+        rows, cols, vals = M.rows, M.cols, M.vals
+    elif isinstance(M, dict):
+        rows, cols, vals = (M[key] for key in _ENTRY_KEYS)
+        # Every row needs an entry; this also bounds the arrays built from shape.
+        if shape[0] > len(rows):
+            raise ShapeMismatch(f"{what}: {len(rows)} entries cannot fill {shape[0]} rows")
+    else:
+        dense = _array(M, float, what)
+        if dense.shape != shape:
+            raise ShapeMismatch(f"{what} must be {shape}, got {dense.shape}")
+        # Flat indices keep both index arrays contiguous; 2-D np.nonzero would not.
+        rows, cols = divmod(np.flatnonzero(dense != 0), shape[1])
+        vals = dense[rows, cols]
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), _array(vals, float, what)
     if not (
-        starts.dtype.kind == cols.dtype.kind == "i"
-        and starts.shape == (shape[0] + 1,)
-        and cols.shape == vals.shape == (cols.size,)
+        rows.dtype.kind == cols.dtype.kind == "i"
+        and rows.shape == cols.shape == vals.shape == (rows.size,)
     ):
-        raise ShapeMismatch(
-            f"{what}: needs {shape[0] + 1} integer starts, "
-            "integer columns and as many values"
-        )
-    cols = cols.astype(np.intp)
-    if starts[0] != 0 or starts[-1] != cols.size or np.any(np.diff(starts) < 0):
-        raise ShapeMismatch(f"{what}: row starts must not decrease from 0 to {cols.size}")
-    if cols.size and (cols.min() < 0 or cols.max() >= shape[1]):
-        raise OutOfRange(f"{what}: next states must lie in [0, {shape[1]})")
-    rows = np.repeat(np.arange(shape[0]), np.diff(starts))
+        raise ShapeMismatch(f"{what}: needs as many integer rows and next states as values")
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    for a, n, name in ((rows, shape[0], "rows"), (cols, shape[1], "next states")):
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise OutOfRange(f"{what}: {name} must lie in [0, {n})")
     if np.any(np.diff(rows * shape[1] + cols) <= 0):
-        raise ShapeMismatch(f"{what}: next states must increase within each row")
+        raise ShapeMismatch(f"{what}: entries must be in row-major order, without repeats")
     return rows, cols, vals
 
 
@@ -238,19 +266,10 @@ def _row_sums(shape: tuple, starts, rows, cols, vals) -> np.ndarray:
 def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
     """Check entries are a shape matrix of distributions; return it renormalized.
 
-    entries is a CsrMatrix or dense rows. Dense rows are reduced to their
-    entries != 0 (NaN among them, so that it fails the row-sum check); from
-    there both take the same check, and zero entries are dropped.
+    entries is any form _entries takes; NaN fails the row-sum check, and zero
+    entries are dropped.
     """
-    if isinstance(entries, CsrMatrix):
-        rows, cols, vals = _csr_entries(entries, shape, what)
-    else:
-        dense = _array(entries, float, what)
-        if dense.shape != shape:
-            raise ShapeMismatch(f"{what} must be {shape}, got {dense.shape}")
-        # Flat indices keep both index arrays contiguous; 2-D np.nonzero would not.
-        rows, cols = divmod(np.flatnonzero(dense != 0), shape[1])
-        vals = dense[rows, cols]
+    rows, cols, vals = _entries(entries, shape, what)
     if np.any(vals < 0) or np.any(vals > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
     if not vals.all():
@@ -307,7 +326,12 @@ class DmdpInstance:
         return 1.0 / (1.0 - self.discount)
 
 
-def _check_actions(num_states, actions_per_state) -> tuple:
+def build_instance(num_states, actions_per_state, transition, reward, discount):
+    """Validate raw arrays and construct an immutable DmdpInstance.
+
+    transition is a CsrMatrix, a version-2 entries object or dense rows; see
+    _entries.
+    """
     actions = tuple(int(a) for a in actions_per_state)
     if len(actions) != num_states or num_states < 1:
         raise ShapeMismatch(
@@ -315,15 +339,6 @@ def _check_actions(num_states, actions_per_state) -> tuple:
         )
     if any(a < 1 for a in actions):
         raise ShapeMismatch("every state needs at least one action")
-    return actions
-
-
-def build_instance(num_states, actions_per_state, transition, reward, discount):
-    """Validate raw arrays and construct an immutable DmdpInstance.
-
-    transition is a CsrMatrix or dense rows; see _validate_rows.
-    """
-    actions = _check_actions(num_states, actions_per_state)
     n_pairs = sum(actions)
 
     P = _validate_rows(transition, (n_pairs, num_states), "transition")
@@ -437,7 +452,6 @@ def check_distribution(weights, size: int, what: str = "distribution") -> np.nda
 # Instance documents without a schema_version hold P and E as dense lists of
 # rows (version 1); version 2, which save_instance writes, holds their nonzeros.
 INSTANCE_SCHEMA_VERSION = 2
-_ENTRY_KEYS = ("row", "next_state", "value")
 
 
 def _entries_doc(M: CsrMatrix) -> dict:
@@ -466,10 +480,6 @@ def _is_number_type(t) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-def _is_number(x) -> bool:
-    return _is_number_type(type(x))
-
-
 def _list_of(ok):
     return lambda x: isinstance(x, list) and all(ok(item) for item in x)
 
@@ -493,70 +503,62 @@ def _is_entries(x) -> bool:
     )
 
 
-# Per schema version: the JSON type of a transition or prediction field.
-_MATRIX_TYPES = {
-    1: (_list_of(_is_number_list), "a list of lists of numbers"),
-    2: (
-        _is_entries,
-        "an object of integer lists 'row' and 'next_state' and a number list 'value'",
-    ),
+_ENTRIES_TYPE = "an object of integer lists 'row', 'next_state' and a number list 'value'"
+
+# The JSON types check_fields knows, by the name its errors give them.
+_JSON_TYPES = {
+    "a string": lambda x: isinstance(x, str),
+    "an integer": _is_int,
+    "a number": lambda x: _is_number_type(type(x)),
+    "a list of integers": _list_of(_is_int),
+    "a list of non-negative integers": _list_of(lambda x: _is_int(x) and x >= 0),
+    "a list of numbers": _is_number_list,
+    "a list of lists of numbers": _list_of(_is_number_list),
+    _ENTRIES_TYPE: _is_entries,
 }
 
-# JSON type of each other instance document field, checked when present.
+
+def check_fields(doc, required, types: dict, what: str) -> None:
+    """Check doc is a JSON object that has every required field.
+
+    types maps a field to the name of its JSON type, a key of _JSON_TYPES,
+    optionally prefixed "null or "; each field doc has must be of its type.
+    """
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{what} must be a JSON object")
+    for key in required:
+        if key not in doc:
+            raise ShapeMismatch(f"{what} missing field {key!r}")
+    for key, kind in types.items():
+        if key not in doc or doc[key] is None and kind.startswith("null or "):
+            continue
+        if not _JSON_TYPES[kind.removeprefix("null or ")](doc[key]):
+            raise ShapeMismatch(f"{what} field {key!r} must be {kind}")
+
+
+# JSON type of each instance document field but the matrices, whose type the
+# schema version selects.
 _INSTANCE_FIELD_TYPES = {
-    "num_states": (_is_int, "an integer"),
-    "actions_per_state": (_list_of(_is_int), "a list of integers"),
-    "reward": (_is_number_list, "a list of numbers"),
-    "discount": (_is_number, "a number"),
+    "schema_version": "an integer",
+    "num_states": "an integer",
+    "actions_per_state": "a list of integers",
+    "reward": "a list of numbers",
+    "discount": "a number",
 }
-
-
-def _entries_matrix(doc: dict, shape: tuple, what: str) -> CsrMatrix:
-    """The CsrMatrix of a version-2 entries object, rows checked sorted and in range."""
-    rows, cols = (_array(doc[key], np.intp, what) for key in _ENTRY_KEYS[:2])
-    vals = _array(doc["value"], float, what)
-    if not rows.size == cols.size == vals.size:
-        raise ShapeMismatch(f"{what}: 'row', 'next_state' and 'value' differ in length")
-    # Every row needs an entry; this also bounds the arrays built from shape.
-    if shape[0] > rows.size:
-        raise ShapeMismatch(f"{what}: {rows.size} entries cannot fill {shape[0]} rows")
-    starts = np.searchsorted(rows, np.arange(shape[0] + 1))
-    if not np.array_equal(np.repeat(np.arange(shape[0]), np.diff(starts)), rows):
-        raise ShapeMismatch(f"{what}: 'row' must be sorted and lie in [0, {shape[0]})")
-    return CsrMatrix(shape, starts, cols, vals)
+_MATRIX_TYPES = {1: "a list of lists of numbers", 2: _ENTRIES_TYPE}
 
 
 def instance_from_dict(doc: dict):
     """Build (instance, prediction-or-None) from the JSON document schema."""
-    for key in ("num_states", "actions_per_state", "transition", "reward", "discount"):
-        if key not in doc:
-            raise ShapeMismatch(f"instance document missing field {key!r}")
-    version = doc.get("schema_version", 1)
-    if not (_is_int(version) and version in _MATRIX_TYPES):
-        raise ShapeMismatch(f"unknown instance schema_version {version!r}")
-    matrix_ok, matrix_kind = _MATRIX_TYPES[version]
-    field_types = {
-        **_INSTANCE_FIELD_TYPES,
-        "transition": (matrix_ok, matrix_kind),
-        "prediction": (lambda x: x is None or matrix_ok(x), f"null or {matrix_kind}"),
-    }
-    for key, (ok, kind) in field_types.items():
-        if key in doc and not ok(doc[key]):
-            raise ShapeMismatch(f"instance field {key!r} must be {kind}")
-    transition, prediction = doc["transition"], doc.get("prediction")
-    if version == 2:
-        actions = _check_actions(doc["num_states"], doc["actions_per_state"])
-        shape = (sum(actions), doc["num_states"])
-        transition = _entries_matrix(transition, shape, "transition")
-        if prediction is not None:
-            prediction = _entries_matrix(prediction, shape, "prediction")
-    instance = build_instance(
-        doc["num_states"],
-        doc["actions_per_state"],
-        transition,
-        doc["reward"],
-        doc["discount"],
-    )
+    # build_instance's arguments, in order.
+    required = ("num_states", "actions_per_state", "transition", "reward", "discount")
+    check_fields(doc, required, _INSTANCE_FIELD_TYPES, "instance")
+    kind = _MATRIX_TYPES.get(doc.get("schema_version", 1))
+    if kind is None:
+        raise ShapeMismatch(f"unknown schema_version {doc['schema_version']!r}")
+    check_fields(doc, (), {"transition": kind, "prediction": f"null or {kind}"}, "instance")
+    instance = build_instance(*(doc[key] for key in required))
+    prediction = doc.get("prediction")
     if prediction is not None:
         prediction = build_prediction(instance, prediction)
     return instance, prediction
@@ -578,7 +580,4 @@ def load_json(path):
 
 def load_instance(path):
     """Load and validate an instance file; returns (instance, prediction)."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ShapeMismatch("instance file must contain a JSON object")
-    return instance_from_dict(doc)
+    return instance_from_dict(load_json(path))

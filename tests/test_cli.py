@@ -116,6 +116,14 @@ class TestInstanceFileTypes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: instance field {field!r}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["transition", "prediction"])
+    def test_ragged_rows_exit_2(self, tmp_path, capsys, field):
+        path = tmp_path / "inst.json"
+        doc = dense_layout(gen_instance(path))
+        doc[field][1] = doc[field][1][:2]
+        path.write_text(json.dumps(doc))
+        exits_2_with_one_line(["solve-exact", str(path)], capsys, f"error: {field}: ")
+
     @pytest.mark.parametrize(
         "field, index, value",
         [
@@ -255,6 +263,17 @@ class TestHugeIntegers:
         path.write_text(json.dumps(doc))
         exits_2_with_one_line(["solve-exact", str(path)], capsys, "error: transition: ")
 
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    def test_action_count_exits_2_before_allocating(self, tmp_path, capsys, layout):
+        # 10**12 pairs: any array sized from the declared shape would not fit.
+        path = tmp_path / "inst.json"
+        doc = dict(num_states=1, actions_per_state=[10**12], reward=[1.0], discount=0.5,
+                   transition=[[1.0]])
+        if layout == "sparse":
+            doc.update(schema_version=2, transition=dict(row=[0], next_state=[0], value=[1.0]))
+        path.write_text(json.dumps(doc))
+        exits_2_with_one_line(["solve-exact", str(path)], capsys, "error: transition")
+
     def test_config_q_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", q=[10**400, 0, 0])
         out = tmp_path / "x.csv"
@@ -305,6 +324,24 @@ class TestGenInstance:
         # Floats survive JSON by repr, so equal lists are bitwise equal values.
         assert doc["transition"] == want
         assert doc.get("prediction") == want
+
+    @pytest.mark.parametrize(
+        "args, prefix",
+        [
+            (["--prediction", "exact"], "pdmdp gen-instance: argument --prediction: invalid"),
+            (["--prediction"], "pdmdp gen-instance: argument --prediction: expected one"),
+            (["x\ny"], "pdmdp: unrecognized arguments: x\\ny"),
+        ],
+    )
+    def test_usage_error_exits_2(self, tmp_path, capsys, args, prefix):
+        out = tmp_path / "inst.json"
+        argv = ["gen-instance", "--preset", "three-state", "--out", str(out)] + args
+        exits_2_with_one_line(argv, capsys, f"error: {prefix}")
+        assert not out.exists()
+
+    def test_missing_option_exits_2(self, capsys):
+        prefix = "error: pdmdp gen-instance: the following arguments are required: --out"
+        exits_2_with_one_line(["gen-instance", "--preset", "three-state"], capsys, prefix)
 
     @pytest.mark.parametrize("preset", ["hard-m0", "hard-mprime", "random"])
     def test_missing_inaccurate_prediction_exits_2(self, tmp_path, capsys, preset):
@@ -375,6 +412,7 @@ class TestRunCommand:
             {"algorithm": "smd", "prediction": "none", "epsilon": True},
             {"seeds": "12"},
             {"seeds": [True]},
+            {"seeds": [0, -1]},
             {"horizons": "58"},
             {"horizons": [10.9]},
             {"q": "uniform"},
@@ -392,7 +430,8 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config field") and err.count("\n") == 1
+        field = list(overrides)[-1]
+        assert err.startswith(f"error: config field {field!r}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -6,6 +6,7 @@ divided by numpy's row sums. The CSR route must give the same arrays bitwise
 and the same errors.
 """
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -289,19 +290,55 @@ MALFORMED = {
 }
 
 
+def random_csr(rng, n, s=6):
+    """n random distributions over s states, two nonzeros or more in each, as CSR."""
+    rows = rng.dirichlet(np.ones(s), size=n)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, :2] += 0.1  # two nonzeros in every row
+    rows /= rows.sum(axis=1)[:, None]
+    return to_csr(rows)
+
+
+def error_class(f):
+    try:
+        f()
+    except core.DmdpError as exc:
+        return type(exc)
+
+
 class TestMalformedCsr:
     @pytest.mark.parametrize("kind", MALFORMED)
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_rejected(self, kind, seed):
         rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.ones(6), size=int(rng.integers(3, 8)))
-        rows[rng.random(rows.shape) < 0.3] = 0.0
-        rows[:, :2] += 0.1  # two nonzeros in every row
-        rows /= rows.sum(axis=1)[:, None]
-        M = malformed(kind, to_csr(rows))
+        M = malformed(kind, random_csr(rng, int(rng.integers(3, 8))))
         with pytest.raises(MALFORMED[kind]):
-            core._validate_rows(M, rows.shape, "rows")
+            core._validate_rows(M, M.shape, "rows")
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "kind",
+        ["unsorted", "duplicate", "column-too-large", "negative-column", "values-length",
+         "row-too-large"],
+    )
+    def test_instance_file_raises_alike(self, tmp_path, kind, seed):
+        # A version-2 file holds the broken arrays as its entries object; a
+        # row index past the last row is the one break only a file can hold.
+        M = random_csr(np.random.default_rng(seed), 6, 4)
+        bad = M if kind == "row-too-large" else malformed(kind, M)
+        rows = np.repeat(np.arange(6), np.diff(bad.starts)).tolist()
+        if kind == "row-too-large":
+            rows[-1] = 6
+        doc = dict(schema_version=2, num_states=4, actions_per_state=[2, 1, 2, 1],
+                   reward=[0.5] * 6, discount=0.9, transition=dict(
+                       row=rows, next_state=bad.cols.tolist(), value=bad.vals.tolist()))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        want = MALFORMED.get(kind, OutOfRange)
+        assert error_class(lambda: load_instance(path)) is want
+        if kind != "row-too-large":
+            assert error_class(lambda: core._validate_rows(bad, (6, 4), "rows")) is want
 
     def test_wrong_shape(self):
         M = to_csr(np.eye(3))

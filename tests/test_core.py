@@ -69,6 +69,13 @@ class TestBuildInstance:
         with pytest.raises(ShapeMismatch):
             build_instance(2, [2, 1], [[1, 0], [0, 1]], [0, 0, 0], 0.5)
 
+    @pytest.mark.parametrize("what", ["transition", "reward"])
+    def test_ragged_rows_name_the_field(self, what):
+        args = dict(transition=[[1.0, 0.0], [0.0, 1.0]], reward=[0.0, 1.0])
+        args[what] = [[1.0, 0.0], [1.0]]
+        with pytest.raises(core.DmdpError, match=f"^{what}: "):
+            build_instance(2, [1, 1], args["transition"], args["reward"], 0.5)
+
     def test_boundary_rewards_legal(self):
         inst = build_instance(1, [2], [[1.0], [1.0]], [0.0, 1.0], 0.9)
         assert inst.reward.tolist() == [0.0, 1.0]

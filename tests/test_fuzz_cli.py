@@ -1,11 +1,12 @@
 """Fuzz the CLI's exit-code contract with mutated input documents.
 
 cli.main runs in-process on mutated config, instance and CSV files for
-`run --config`, `solve-exact` and `figures`. Whatever the input, it must
-exit 0, 2 or 3, print at most one stderr line (`error: ...` for 2,
-`i/o error: ...` for 3) and no traceback or warning, and write nothing but
-its own output. Horizons stay at most 50: the fuzz judges validation, not
-runs.
+`run --config` (the config itself, or the instance and prediction files it
+names), `solve-exact` and `figures`, and on mutated `gen-instance` argument
+lists. Whatever the input, it must exit 0, 2 or 3, print at most one stderr
+line (`error: ...` for 2, `i/o error: ...` for 3) and no traceback or
+warning, and write nothing but its own output. Horizons stay at most 50:
+the fuzz judges validation, not runs.
 """
 
 import contextlib
@@ -161,6 +162,7 @@ def check_contract(inputs, argv_of):
         work = root / "work"
         work.mkdir()
         for name, text in inputs.items():
+            (work / name).parent.mkdir(parents=True, exist_ok=True)
             (work / name).write_text(text, encoding="utf-8")
         out = work / "out"
         before = entries_under(root)
@@ -196,6 +198,48 @@ def test_run_config(doc):
     inputs = {"cfg.json": json.dumps(doc), "inst.json": VALID_INSTANCE,
               "pred.json": VALID_INSTANCE}
     check_contract(inputs, lambda out: ["run", "--config", "cfg.json", "--out", str(out)])
+
+
+@st.composite
+def named_files(draw):
+    """The files CONFIGS[1] names, each in either layout, one or both mutated."""
+    docs = [draw(st.sampled_from(INSTANCES[:2])) for _ in range(2)]
+    for i in draw(st.sampled_from([[0], [1], [0, 1]])):
+        docs[i] = draw(mutated(docs[i]))
+    return docs
+
+
+@FUZZ
+@given(docs=named_files())
+def test_run_config_named_files(docs):
+    inputs = {"cfg.json": json.dumps(CONFIGS[1]), "inst.json": json.dumps(docs[0]),
+              "pred.json": json.dumps(docs[1])}
+    check_contract(inputs, lambda out: ["run", "--config", "cfg.json", "--out", str(out)])
+
+
+NAMES = st.one_of(
+    st.sampled_from(sorted(bench.PRESETS) + ["none", "accurate", "inaccurate"]),
+    st.sampled_from([x for x in SCALARS if isinstance(x, str)] + PATHS),
+    TEXT,
+)
+# Where --out points: a new path, an existing file or an existing directory,
+# or a file inside whichever of the three that is.
+OUTS = st.tuples(st.sampled_from([{}, {"out": "kept"}, {"out/kept": "kept"}]),
+                 st.sampled_from(["", "inst.json"]))
+
+
+@FUZZ
+@given(preset=st.one_of(st.sampled_from(sorted(bench.PRESETS)), NAMES),
+       prediction=st.one_of(st.none(), st.sampled_from(["accurate", "inaccurate"]), NAMES),
+       outs=OUTS)
+def test_gen_instance(preset, prediction, outs):
+    inputs, leaf = outs
+
+    def argv(out):
+        args = ["gen-instance", "--preset", preset, "--out", str(out / leaf)]
+        return args + ([] if prediction is None else ["--prediction", prediction])
+
+    check_contract(inputs, argv)
 
 
 @FUZZ
