@@ -8,19 +8,20 @@ each, then writes one combined trace CSV and per-algorithm plot series.
 Usage:
     python3 scripts/reproduce_trends.py --out results/ [--seeds 20]
 
-Exit codes follow the pdmdp CLI: 2 with one 'error: ...' line on stderr
-for invalid input, such as --seeds 0 (caught before anything is written),
-and 3 with one 'i/o error: ...' line for a failed read or write, such as
---out naming an existing file.
+Exit codes and error lines are the pdmdp CLI's, from the same parser and
+handler: 2 with one 'error: ...' line on stderr for invalid input or usage,
+such as --seeds 0 or --seeds abc (caught before anything is written), and 3
+with one 'i/o error: ...' line for a failed read or write, such as --out
+naming an existing file.
 """
 
-import argparse
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pdmdp import bench  # noqa: E402
+from pdmdp.cli import Parser, guarded  # noqa: E402
 
 HORIZONS = [100, 400, 1600, 6400, 16000]
 
@@ -63,18 +64,14 @@ def reproduce(out, num_seeds):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--seeds", type=int, default=20)
-    args = parser.parse_args()
-    try:
+    def command():
+        parser = Parser(description=__doc__.splitlines()[0])
+        parser.add_argument("--out", default="results", help="output directory")
+        parser.add_argument("--seeds", type=int, default=20)
+        args = parser.parse_args()
         return reproduce(args.out, args.seeds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+
+    return guarded(command)
 
 
 if __name__ == "__main__":

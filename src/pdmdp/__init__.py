@@ -9,7 +9,6 @@ from .core import (
     build_prediction,
     load_instance,
     pair_index,
-    pair_unindex,
     prediction_error,
     save_instance,
 )

@@ -67,13 +67,6 @@ PRESETS = {
 }
 
 
-def load_preset(name: str):
-    """Resolve a named preset to (instance, P, inaccurate prediction or None, q)."""
-    if name not in PRESETS:
-        raise DmdpError(f"unknown preset {name!r}")
-    return resolve_instance(name)
-
-
 def resolve_instance(source: str):
     """A preset name or an instance file path -> (instance, P, inaccurate, q).
 

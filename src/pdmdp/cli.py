@@ -52,14 +52,14 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
-    instance, _, inaccurate, _ = bench.load_preset(args.preset)
+    instance, _, inaccurate, _ = bench.resolve_instance(args.preset)
     prediction = bench.resolve_prediction(args.prediction or "none", instance, inaccurate)
     save_instance(args.out, instance, prediction)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """A usage error is a validation error: one 'error: ...' line, exit 2."""
 
     def error(self, message):  # repr escapes newlines in unrecognized arguments
@@ -67,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="pdmdp",
         description="Primal-dual DMDP solver and benchmark harness",
     )
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("gen-instance", help="write a preset instance to JSON")
-    p.add_argument("--preset", required=True)
+    p.add_argument("--preset", choices=sorted(bench.PRESETS), required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--prediction", choices=["accurate", "inaccurate"], default=None
@@ -99,16 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def guarded(command) -> int:
+    """command()'s exit code; a ValueError exits 2, an OSError 3, each with one stderr line."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return command()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv=None) -> int:
+    def command():
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    return guarded(command)
 
 
 if __name__ == "__main__":

@@ -62,44 +62,25 @@ class SpecOutOfRange(DmdpError):
     pass
 
 
-# numpy's float64 sum of a contiguous row is pairwise inside blocks of this
-# many entries and sequential across blocks.
-_SUM_BLOCK = 8192
-
-
-def _sum_depth(n):
-    """Bound on the roundings any one entry meets in numpy's float64 sum of n.
-
-    Inside a block numpy splits runs longer than 128 in two (near halves,
-    trimmed to multiples of 8): at most 7 levels for 8192 entries. A run of at
-    most 128 entries goes into 8 sequential accumulators (at most 15 additions
-    each), which are combined in 3 levels, then the up to 7 leftover entries
-    are added one by one: 25 roundings. Adding the block's sum into the result
-    makes 7 + 25 + 1 = 33 for the first block, and each later block adds one:
-    32 plus the number of blocks. The same count bounds a row summed without
-    blocks (at most 8 + log2(n / 8192) levels). No summation order, sequential
-    ones included, has an entry meet more than n - 1 roundings.
-    """
-    return np.minimum(n - 1, 32 + -(-n // _SUM_BLOCK))
-
-
 def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     """Index of the first group whose entries do not sum to 1, else None.
 
-    ``sums[i]`` is the float sum of ``lengths[i]`` non-negative entries whose
-    nonzeros are ``group(i)``, as numpy's sum or np.add.reduceat computes it.
-    A group passes when the exact sum of its entries is within STOCHASTIC_TOL
-    of 1; a NaN sum fails. Each entry meets at most d = _sum_depth(n)
-    roundings, so the float sum is off from the exact one by less than
-    d*eps*sum (twice the classical bound, which covers the difference between
-    the float and the exact sum on the right); only groups whose computed
-    deviation lies that close to the tolerance are summed again exactly with
-    math.fsum.
+    ``sums[i]`` is a float sum, in any order, of non-negative entries whose
+    nonzeros are ``group(i)``; at most ``lengths[i]`` of them are nonzero. A
+    group passes when the exact sum of its entries is within STOCHASTIC_TOL
+    of 1; a NaN sum fails. Adding an exact zero rounds nothing, so in any
+    summation tree over k nonzeros an entry meets at most k - 1 roundings,
+    and the float sum is off from the exact one s by at most
+    (k - 1)u/(1 - (k - 1)u) * s, with u = eps/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4). Below k = 2**25, k*u times the
+    float sum covers that and the roundings of this test; only groups whose
+    computed deviation lies that close to the tolerance are summed again
+    exactly with math.fsum.
     """
     dev = np.abs(sums - 1.0)
     bad = ~(dev <= STOCHASTIC_TOL)
-    near = np.abs(dev - STOCHASTIC_TOL) <= _sum_depth(np.asarray(lengths)) * (
-        np.finfo(float).eps * sums
+    near = np.abs(dev - STOCHASTIC_TOL) <= np.asarray(lengths) * (
+        np.finfo(float).eps / 2 * sums
     )
     for i in np.flatnonzero(near):
         entries = group(i).tolist()
@@ -277,7 +258,7 @@ def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     starts = np.searchsorted(rows, np.arange(shape[0] + 1))
     sums = _row_sums(shape, starts, rows, cols, vals)
-    bad = _first_bad_sum(sums, shape[1], lambda i: vals[starts[i] : starts[i + 1]])
+    bad = _first_bad_sum(sums, np.diff(starts), lambda i: vals[starts[i] : starts[i + 1]])
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
     return CsrMatrix(shape, starts, cols, vals / sums[rows])
@@ -332,7 +313,11 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
     transition is a CsrMatrix, a version-2 entries object or dense rows; see
     _entries.
     """
-    actions = tuple(int(a) for a in actions_per_state)
+    actions = tuple(actions_per_state)
+    for a in actions:
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise ShapeMismatch(f"actions_per_state must hold integers, got {a!r}")
+    actions = tuple(map(int, actions))
     if len(actions) != num_states or num_states < 1:
         raise ShapeMismatch(
             f"expected {num_states} per-state action counts, got {len(actions)}"
@@ -390,14 +375,6 @@ def pair_index(instance: DmdpInstance, state: int, action: int) -> int:
     if not (0 <= action < instance.actions_per_state[state]):
         raise OutOfRange(f"action {action} out of range for state {state}")
     return int(instance.state_offsets[state]) + action
-
-
-def pair_unindex(instance: DmdpInstance, flat: int) -> tuple[int, int]:
-    """Inverse of pair_index: flat index -> (state, action)."""
-    if not (0 <= flat < instance.num_pairs):
-        raise OutOfRange(f"flat index {flat} out of range")
-    state = int(instance.pair_state[flat])
-    return state, flat - int(instance.state_offsets[state])
 
 
 @dataclass(frozen=True)
@@ -579,5 +556,11 @@ def load_json(path):
 
 
 def load_instance(path):
-    """Load and validate an instance file; returns (instance, prediction)."""
+    """Load and validate an instance file; returns (instance, prediction).
+
+    A file holds entries, not a built P: like building, loading divides each
+    row by its float sum, so a row whose saved values do not sum to exactly
+    1.0 in float moves by a few ulps (at most 2k eps relative in a row of k
+    nonzeros). Rows that sum to 1.0, as the presets' do, load bitwise.
+    """
     return instance_from_dict(load_json(path))

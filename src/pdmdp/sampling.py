@@ -32,9 +32,7 @@ class SeededStream:
     def __init__(self, seed: int, name: str):
         if name not in STREAM_IDS:
             raise ValueError(f"unknown stream name {name!r}")
-        self.seed = int(seed)
-        self.name = name
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(STREAM_IDS[name],))
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAM_IDS[name],))
         self._rng = np.random.Generator(np.random.Philox(ss))
         self._block = []  # the rest of the current block, next draw last
 

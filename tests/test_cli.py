@@ -179,7 +179,7 @@ class TestSparseLayout:
         path, again = tmp_path / "a.json", tmp_path / "b.json"
         gen_instance(path, preset, prediction)
         inst, pred = load_instance(path)
-        want, accurate, inaccurate, _ = bench.load_preset(preset)
+        want, accurate, inaccurate, _ = bench.resolve_instance(preset)
         want_pred = {"accurate": accurate, "inaccurate": inaccurate}.get(prediction)
         pairs = [(inst.transition, want.transition)]
         if prediction:
@@ -318,7 +318,7 @@ class TestGenInstance:
     @pytest.mark.parametrize("preset", sorted(bench.PRESETS))
     def test_accurate_prediction_is_p(self, tmp_path, preset):
         doc = gen_instance(tmp_path / "inst.json", preset, "accurate")
-        P = bench.load_preset(preset)[0].transition
+        P = bench.resolve_instance(preset)[0].transition
         want = {"row": P.rows.tolist(), "next_state": P.cols.tolist(),
                 "value": P.vals.tolist()}
         # Floats survive JSON by repr, so equal lists are bitwise equal values.
@@ -339,13 +339,20 @@ class TestGenInstance:
         exits_2_with_one_line(argv, capsys, f"error: {prefix}")
         assert not out.exists()
 
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen-instance", "--preset", "nope", "--out", str(out)]
+        prefix = "error: pdmdp gen-instance: argument --preset: invalid choice: 'nope'"
+        exits_2_with_one_line(argv, capsys, prefix)
+        assert not out.exists()
+
     def test_missing_option_exits_2(self, capsys):
         prefix = "error: pdmdp gen-instance: the following arguments are required: --out"
         exits_2_with_one_line(["gen-instance", "--preset", "three-state"], capsys, prefix)
 
     @pytest.mark.parametrize("preset", ["hard-m0", "hard-mprime", "random"])
     def test_missing_inaccurate_prediction_exits_2(self, tmp_path, capsys, preset):
-        assert bench.load_preset(preset)[2] is None
+        assert bench.resolve_instance(preset)[2] is None
         out = tmp_path / "inst.json"
         argv = ["gen-instance", "--preset", preset, "--out", str(out)]
         exits_2_with_one_line(argv + ["--prediction", "inaccurate"], capsys)
@@ -493,6 +500,22 @@ class TestReproduceTrendsScript:
         assert proc.returncode == 3
         assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
         assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seeds", "abc"], "argument --seeds: invalid int value: 'abc'"),
+            (["--seeds"], "argument --seeds: expected one argument"),
+            (["--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_exits_2(self, tmp_path, args, message):
+        # The CLI's parser and handler: one line, no usage line before it.
+        out = tmp_path / "results"
+        proc = self.invoke(out, *args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: reproduce_trends.py: {message}\n"
+        assert not out.exists()
 
     def test_threads_option_gone(self, tmp_path):
         out = tmp_path / "results"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp import core
+from pdmdp import bench, core
 from pdmdp.core import (
     CsrMatrix,
     NotStochastic,
@@ -243,7 +243,8 @@ class TestValidatorDifferential:
                 assert (want[0] is not NotStochastic) == legal
 
     def test_long_rows_sum_like_dense_rows(self):
-        # More than 8192 columns: numpy's sum runs in blocks; 65 rows: two blocks.
+        # More than 8192 columns: numpy sums each whole row pairwise, with no
+        # 8192-entry blocks; 65 rows: two of _row_sums' 64-row blocks.
         rng = np.random.default_rng(3)
         rows = rng.dirichlet(np.ones(9000) * 0.05, size=65)
         rows[rows < 1e-5] = 0.0
@@ -371,3 +372,32 @@ def test_sparse_file_round_trip_at_s1000(tmp_path):
         assert a.cols.tobytes() == b.cols.tobytes()
         np.testing.assert_allclose(a.vals, b.vals, rtol=1e-15, atol=0)
     assert got.reward.tobytes() == inst.reward.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["three-state", "hard-m0", "hard-mprime"])
+def test_preset_file_round_trip_is_bitwise(tmp_path, preset):
+    # Three-state with its inaccurate prediction, the hard family with P as
+    # its prediction: every row's float sum is 1, so loading changes nothing.
+    instance, _, inaccurate, _ = bench.resolve_instance(preset)
+    prediction = instance.transition if inaccurate is None else inaccurate
+    path = tmp_path / "inst.json"
+    save_instance(path, instance, prediction)
+    got, got_pred = load_instance(path)
+    assert_csr_bitwise(got.transition, instance.transition)
+    assert_csr_bitwise(got_pred, prediction)
+    assert got.reward.tobytes() == instance.reward.tobytes()
+
+
+def test_file_round_trip_renormalises_rows(tmp_path):
+    # A file holds entries, and loading divides each row by its float sum, as
+    # building does: a value in a row of k nonzeros moves by at most 2k eps.
+    inst = random_instance(300, 2, sparsity=0.1)
+    path = tmp_path / "inst.json"
+    save_instance(path, inst)
+    P, got = inst.transition, load_instance(path)[0].transition
+    assert P.starts.tobytes() == got.starts.tobytes()
+    assert P.cols.tobytes() == got.cols.tobytes()
+    k = np.diff(P.starts)[P.rows]
+    moved = np.abs(got.vals - P.vals) / P.vals
+    assert np.all(moved <= 2 * k * np.finfo(float).eps)
+    assert np.any(moved > 0)  # the rows whose float sum is not exactly 1

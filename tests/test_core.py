@@ -25,7 +25,6 @@ from pdmdp.core import (
     instance_to_dict,
     load_instance,
     pair_index,
-    pair_unindex,
     prediction_error,
     save_instance,
 )
@@ -68,6 +67,20 @@ class TestBuildInstance:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             build_instance(2, [2, 1], [[1, 0], [0, 1]], [0, 0, 0], 0.5)
+
+    @pytest.mark.parametrize("actions", [[1.9, 1], [True, 1], ["2", 1]])
+    def test_action_counts_must_be_integers(self, actions):
+        # P has as many rows as int() would make pairs: 2, 2 and 3.
+        pairs = sum(map(int, actions))
+        with pytest.raises(ShapeMismatch, match="^actions_per_state must hold integers"):
+            build_instance(2, actions, [[1.0, 0.0]] * pairs, [0] * pairs, 0.5)
+
+    def test_numpy_integer_action_counts(self):
+        for actions in (np.array([2, 1]), [np.int32(2), np.int64(1)]):
+            inst = build_instance(2, actions, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                                  [0] * 3, 0.5)
+            assert inst.actions_per_state == (2, 1)
+            assert all(type(a) is int for a in inst.actions_per_state)
 
     @pytest.mark.parametrize("what", ["transition", "reward"])
     def test_ragged_rows_name_the_field(self, what):
@@ -117,6 +130,33 @@ class TestBuildInstance:
                 else:
                     with pytest.raises(NotStochastic):
                         core._validate_rows(row[None, :], (1, n), "row")
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 130, 1000, 4501, 8000, 9000, 9100])
+    def test_decision_exact_at_any_nonzero_count(self, k):
+        # k nonzeros among k + k // 3 columns, stepped ulp by ulp across
+        # 1 +- 1e-12. From about 9007 nonzeros on, every row is summed again.
+        rng = np.random.default_rng(k)
+        num_cols = k + k // 3
+        cols = np.sort(rng.choice(num_cols, size=k, replace=False))
+        decisions = set()
+        for sign in (1, -1):
+            row = rng.dirichlet(np.ones(k))
+            j = int(row.argmax())
+            row[j] += float(1 + sign * Fraction(STOCHASTIC_TOL) - exact_sum(row))
+            for step in range(-3, 4):
+                stepped = row.copy()
+                for _ in range(abs(step)):
+                    stepped[j] = np.nextafter(stepped[j], 2.0 * step)
+                legal = abs(exact_sum(stepped) - 1) <= Fraction(STOCHASTIC_TOL)
+                M = core.CsrMatrix((1, num_cols), np.array([0, k]), cols, stepped)
+                try:
+                    core._validate_rows(M, M.shape, "row")
+                    accepted = True
+                except NotStochastic:
+                    accepted = False
+                assert accepted == legal, (sign, step)
+                decisions.add(legal)
+        assert decisions == {True, False}
 
     def test_long_rows_not_summed_again(self):
         # Rows far from the tolerance are judged by their float sum alone.
@@ -168,15 +208,13 @@ def test_policy_sum_judged_exactly():
 class TestPairIndexing:
     def test_state_major_layout(self, ex3):
         assert pair_index(ex3.instance, 1, 0) == 2
-        assert pair_unindex(ex3.instance, 5) == (2, 1)
+        assert pair_index(ex3.instance, 2, 1) == 5
 
     def test_out_of_range(self, ex3):
         with pytest.raises(OutOfRange):
             pair_index(ex3.instance, 3, 0)
         with pytest.raises(OutOfRange):
             pair_index(ex3.instance, 0, 2)
-        with pytest.raises(OutOfRange):
-            pair_unindex(ex3.instance, 6)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -185,9 +223,12 @@ class TestPairIndexing:
         num_states = int(rng.integers(1, 6))
         actions = [int(rng.integers(1, 4)) for _ in range(num_states)]
         inst = random_instance(num_states, actions, seed=seed)
-        for flat in range(inst.num_pairs):
-            state, action = pair_unindex(inst, flat)
-            assert pair_index(inst, state, action) == flat
+        flat = [pair_index(inst, s, a) for s in range(num_states) for a in range(actions[s])]
+        assert flat == list(range(inst.num_pairs))
+        assert [inst.pair_state[i] for i in flat] == inst.pair_state.tolist()
+        assert [pair_index(inst, s, 0) for s in range(num_states)] == (
+            inst.state_offsets.tolist()
+        )
 
 
 class TestPredictionError:

@@ -5,8 +5,12 @@ cli.main runs in-process on mutated config, instance and CSV files for
 names), `solve-exact` and `figures`, and on mutated `gen-instance` argument
 lists. Whatever the input, it must exit 0, 2 or 3, print at most one stderr
 line (`error: ...` for 2, `i/o error: ...` for 3) and no traceback or
-warning, and write nothing but its own output. Horizons stay at most 50:
-the fuzz judges validation, not runs.
+warning, and write nothing but its own output; a field nested deeper than
+the JSON parser allows must exit 2. Horizons stay at most 50: the fuzz
+judges validation, not runs. Most edits are small and often keep a document
+valid (an integer moved by one, a float by at most 1e-13 relative, two list
+items swapped, a string replaced by another name the program knows), so
+that runs past validation are exercised too.
 """
 
 import contextlib
@@ -35,6 +39,17 @@ PATHS = ["../escape", "/", ".", "..", "a/b", "sub/../x", "é", "ラベル", "a b
          "a,b", "x\ny", "C:\\x", "~", "%s", "\x00"]
 HORIZON_SCALARS = [x for x in SCALARS if not (isinstance(x, int) and x > 50)]
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# Strings the program gives a meaning to, in configs and instance files.
+NAMES_KNOWN = ["three-state", "hard-m0", "hard-mprime", "random", "inst.json",
+               "pred.json", "accurate", "inaccurate", "none", "optimistic", "smd", "lbl"]
+# Stands for a value nested deeper than the JSON parser allows; see to_json.
+DEEP = "\ue000deep"
+DEEP_TEXT = "[" * 100_000 + "]" * 100_000
+
+
+def to_json(doc):
+    """json.dumps(doc), with each DEEP value written as DEEP_TEXT."""
+    return json.dumps(doc).replace(json.dumps(DEEP), DEEP_TEXT)
 
 
 def values(scalars):
@@ -68,8 +83,29 @@ def slots(node, path=()):
 
 
 @st.composite
+def nudged(draw, node):
+    """node moved a little within its JSON type: an integer by at most one, a
+    float by at most 1e-13 relative, a string to a name the program knows."""
+    if isinstance(node, bool) or node is None:
+        return node
+    if isinstance(node, int):
+        return node + draw(st.integers(-1, 1))
+    if isinstance(node, float):
+        return node * (1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, -1e-13])))
+    if isinstance(node, str):
+        return draw(st.sampled_from(NAMES_KNOWN))
+    return node
+
+
+# Small edits, which often keep a document valid, come first and three times
+# as often as each of the others.
+EDITS = ["nudge", "swap"] * 3 + ["replace", "drop", "add", "deep"]
+
+
+@st.composite
 def mutated(draw, doc):
-    """doc after one to three edits: a value replaced, dropped or added."""
+    """doc after one to three edits: a value nudged, swapped with a sibling,
+    replaced, dropped, added or nested too deeply."""
     box = {"doc": copy.deepcopy(doc)}
     for _ in range(draw(st.integers(1, 3))):
         paths = list(slots(box))
@@ -78,13 +114,20 @@ def mutated(draw, doc):
         for key in path[:-1]:
             parent = parent[key]
         node, bad = parent[path[-1]], BAD_HORIZON if "horizons" in path else BAD
-        edit = draw(st.sampled_from(["replace", "drop", "add"]))
-        if edit == "drop" and len(path) > 1:
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "swap" and isinstance(parent, list):
+            other = draw(st.integers(0, len(parent) - 1))
+            parent[path[-1]], parent[other] = parent[other], parent[path[-1]]
+        elif edit in ("nudge", "swap"):
+            parent[path[-1]] = draw(nudged(node))
+        elif edit == "drop" and len(path) > 1:
             del parent[path[-1]]
         elif edit == "add" and isinstance(node, dict):
             node[draw(FIELD_NAMES)] = draw(bad)
         elif edit == "add" and isinstance(node, list):
             node.insert(draw(st.integers(0, len(node))), draw(bad))
+        elif edit == "deep" and len(path) > 1:
+            parent[path[-1]] = DEEP
         else:
             parent[path[-1]] = draw(bad)
     return box["doc"]
@@ -92,12 +135,12 @@ def mutated(draw, doc):
 
 def instance_docs():
     """Three-state with its inaccurate prediction, sparse and dense; hard-m0."""
-    instance, _, inaccurate, _ = bench.load_preset("three-state")
+    instance, _, inaccurate, _ = bench.resolve_instance("three-state")
     sparse = instance_to_dict(instance, inaccurate)
     dense = dict(sparse, transition=np.asarray(instance.transition).tolist(),
                  prediction=np.asarray(inaccurate).tolist())
     del dense["schema_version"]
-    return [sparse, dense, instance_to_dict(bench.load_preset("hard-m0")[0])]
+    return [sparse, dense, instance_to_dict(bench.resolve_instance("hard-m0")[0])]
 
 
 INSTANCES = instance_docs()
@@ -156,6 +199,7 @@ def check_contract(inputs, argv_of):
     """Write inputs into a fresh directory, run main there and check it.
 
     argv_of(out) gives the arguments; out is the one path main may write.
+    An input nested deeper than the parser allows must make main exit 2.
     """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -177,7 +221,8 @@ def check_contract(inputs, argv_of):
         finally:
             os.chdir(cwd)
         err = stderr.getvalue()
-        assert code in (0, 2, 3), (code, err)
+        assert code in ((2,) if any(DEEP_TEXT in text for text in inputs.values())
+                        else (0, 2, 3)), (code, err)
         prefix = {0: "", 2: "error: ", 3: "i/o error: "}[code]
         assert err.startswith(prefix) and err.count("\n") == (code != 0), err
         assert "Traceback" not in err, err
@@ -195,7 +240,7 @@ VALID_INSTANCE = json.dumps(INSTANCES[0])
 @FUZZ
 @given(doc=st.sampled_from(CONFIGS).flatmap(mutated))
 def test_run_config(doc):
-    inputs = {"cfg.json": json.dumps(doc), "inst.json": VALID_INSTANCE,
+    inputs = {"cfg.json": to_json(doc), "inst.json": VALID_INSTANCE,
               "pred.json": VALID_INSTANCE}
     check_contract(inputs, lambda out: ["run", "--config", "cfg.json", "--out", str(out)])
 
@@ -212,8 +257,8 @@ def named_files(draw):
 @FUZZ
 @given(docs=named_files())
 def test_run_config_named_files(docs):
-    inputs = {"cfg.json": json.dumps(CONFIGS[1]), "inst.json": json.dumps(docs[0]),
-              "pred.json": json.dumps(docs[1])}
+    inputs = {"cfg.json": json.dumps(CONFIGS[1]), "inst.json": to_json(docs[0]),
+              "pred.json": to_json(docs[1])}
     check_contract(inputs, lambda out: ["run", "--config", "cfg.json", "--out", str(out)])
 
 
@@ -223,14 +268,21 @@ NAMES = st.one_of(
     TEXT,
 )
 # Where --out points: a new path, an existing file or an existing directory,
-# or a file inside whichever of the three that is.
-OUTS = st.tuples(st.sampled_from([{}, {"out": "kept"}, {"out/kept": "kept"}]),
-                 st.sampled_from(["", "inst.json"]))
+# or a file inside whichever of the three that is. The three that can be
+# written come first, and twice as often.
+WRITABLE = [({}, ""), ({"out": "kept"}, ""), ({"out/kept": "kept"}, "inst.json")]
+OUTS = st.sampled_from(WRITABLE * 2 + [({}, "inst.json"), ({"out": "kept"}, "inst.json"),
+                                       ({"out/kept": "kept"}, "")])
+
+
+def mostly(known, other):
+    """known three times in four, other otherwise."""
+    return st.sampled_from([known] * 3 + [other]).flatmap(lambda strategy: strategy)
 
 
 @FUZZ
-@given(preset=st.one_of(st.sampled_from(sorted(bench.PRESETS)), NAMES),
-       prediction=st.one_of(st.none(), st.sampled_from(["accurate", "inaccurate"]), NAMES),
+@given(preset=mostly(st.sampled_from(sorted(bench.PRESETS)), NAMES),
+       prediction=mostly(st.sampled_from([None, "accurate", "inaccurate"]), NAMES),
        outs=OUTS)
 def test_gen_instance(preset, prediction, outs):
     inputs, leaf = outs
@@ -245,7 +297,7 @@ def test_gen_instance(preset, prediction, outs):
 @FUZZ
 @given(doc=st.sampled_from(INSTANCES).flatmap(mutated))
 def test_solve_exact(doc):
-    check_contract({"inst.json": json.dumps(doc)}, lambda out: ["solve-exact", "inst.json"])
+    check_contract({"inst.json": to_json(doc)}, lambda out: ["solve-exact", "inst.json"])
 
 
 @FUZZ
