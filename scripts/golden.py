@@ -6,8 +6,11 @@ files under tests/golden/:
   - trends.json: bench.execute rows of the three three-state trends configs
     (seeds 0-1, horizons [100, 1600]), without the wall_time column;
   - traces.json: optimistic (with hard-m0's P as the prediction) and SMD
-    traces on hard-m0 and hard-mprime at T=2000, with the averaged iterates
-    at every checkpoint;
+    traces on hard-m0 and hard-mprime at T=2000, and optimistic (with P
+    itself as the prediction) and SMD traces at T=300 on a 410-state member
+    of the hard family, whose checkpoints take the iterative solve of
+    pdmdp.exact; the T=2000 traces hold the averaged iterates at every
+    checkpoint, the 410-state ones only step, samples, gap and value;
   - gen_instance.json: the text `pdmdp gen-instance` writes for three-state
     (no prediction, accurate, inaccurate), hard-m0 and hard-mprime (no
     prediction, accurate).
@@ -29,15 +32,21 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pdmdp import bench, build_prediction, run, run_smd  # noqa: E402
 from pdmdp.cli import main as cli_main  # noqa: E402
+from pdmdp.instances import HardFamilySpec, hard_family  # noqa: E402
 from pdmdp.optimistic_pd import default_checkpoints  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 TRACE_HORIZON = 2000
 SMD_EPSILON = 0.05
+# 10 + 2 * 10 * 20 = 410 states: above exact._ITER_MIN_STATES.
+LARGE_SPEC = HardFamilySpec(m=10, n=20, discount=0.5, epsilon=0.05)
+LARGE_HORIZON = 300
 
 
 def trends_rows():
@@ -53,24 +62,34 @@ def trends_rows():
     return rows
 
 
+def _trace_rows(result, iterates=True):
+    rows = []
+    for p in result.trace:
+        row = {"step": p.step, "transition_samples": p.transition_samples,
+               "gap": p.gap, "value": p.value}
+        if iterates:
+            row.update(averaged_v=p.averaged_v.tolist(), averaged_mu=p.averaged_mu.tolist())
+        rows.append(row)
+    return rows
+
+
 def traces():
     m0 = bench.resolve_instance("hard-m0")[1]
     out = {}
     for preset in ("hard-m0", "hard-mprime"):
         instance, _, _, q = bench.resolve_instance(preset)
         checkpoints = default_checkpoints(TRACE_HORIZON)
-        runs = {
-            "optimistic-m0": run(instance, build_prediction(instance, m0), q,
-                                 TRACE_HORIZON, 0, checkpoints),
-            "smd": run_smd(instance, q, TRACE_HORIZON, SMD_EPSILON, 0, checkpoints),
-        }
-        for name, result in runs.items():
-            out[f"{preset}/{name}"] = [
-                {"step": p.step, "transition_samples": p.transition_samples,
-                 "gap": p.gap, "value": p.value, "averaged_v": p.averaged_v.tolist(),
-                 "averaged_mu": p.averaged_mu.tolist()}
-                for p in result.trace
-            ]
+        out[f"{preset}/optimistic-m0"] = _trace_rows(
+            run(instance, build_prediction(instance, m0), q, TRACE_HORIZON, 0, checkpoints))
+        out[f"{preset}/smd"] = _trace_rows(
+            run_smd(instance, q, TRACE_HORIZON, SMD_EPSILON, 0, checkpoints))
+    instance = hard_family(LARGE_SPEC)
+    q = np.full(instance.num_states, 1.0 / instance.num_states)
+    out["hard-s410/optimistic-p"] = _trace_rows(
+        run(instance, build_prediction(instance, instance.transition), q, LARGE_HORIZON, 0),
+        iterates=False)
+    out["hard-s410/smd"] = _trace_rows(
+        run_smd(instance, q, LARGE_HORIZON, SMD_EPSILON, 0), iterates=False)
     return out
 
 

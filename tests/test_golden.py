@@ -70,7 +70,8 @@ def gen_instance_texts():
 def test_trace(traces, name):
     got, want = traces[name], load("traces.json")[name]
     exact = ("step", "transition_samples")
-    approx = ("gap", "value", "averaged_v", "averaged_mu")
+    # The 410-state traces leave out the averaged iterates.
+    approx = [k for k in ("gap", "value", "averaged_v", "averaged_mu") if k in want[0]]
     diff = first_difference(got, want, exact, approx)
     assert diff is None, f"{name}: {diff}"
 
