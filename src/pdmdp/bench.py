@@ -12,6 +12,7 @@ one exception and is excluded from determinism comparisons.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -214,6 +215,7 @@ def execute(config: ExperimentConfig, threads: int = 1) -> list:
     return rows
 
 
+@functools.cache  # once per process: write_csv calls it for every file
 def _git_describe() -> str:
     try:
         out = subprocess.run(

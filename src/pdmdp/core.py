@@ -295,12 +295,6 @@ class DmdpInstance:
         """Map flat pair index -> state id, length N."""
         return np.repeat(np.arange(self.num_states), self.actions_per_state)
 
-    @cached_property
-    def nonzero_flat(self) -> np.ndarray:
-        """Each nonzero of P's flat (state, next state) index into S x S."""
-        P = self.transition
-        return self.pair_state[P.rows] * self.num_states + P.cols
-
     @property
     def value_radius(self) -> float:
         """Box radius (1 - discount)^-1 bounding any value vector."""

@@ -1,14 +1,16 @@
 """Full-knowledge oracles: value iteration, policy evaluation, occupancy measures.
 
-These are the ground-truth references for the sampling-based solvers. P_pi
-is assembled from the transition's nonzeros in O(nnz) and P v is summed over
-them. Policy evaluation and occupancy measures solve I - gamma P_pi by a
-fixed-point iteration on a rank-one shift of it from 400 states on, and with
-the LU below that size or when the iteration converges too slowly; see _solve.
+These are the ground-truth references for the sampling-based solvers. P v is
+summed over the transition's nonzeros. Policy evaluation and occupancy
+measures solve I - gamma P_pi with the dense LU below 400 states, and from
+400 states on by a fixed-point iteration on a rank-one shift of it whose
+products run on P's nonzeros; no S x S array is formed there and there is no
+hand-over to the LU (see _iterate).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +27,9 @@ DEFAULT_TOLERANCE = 1e-10
 
 _MAX_SWEEPS = 10_000_000
 
-# The fixed-point iteration of _solve: smallest system size, most dense
-# products, products before the hand-over may fire, relative residual to reach.
+# The fixed-point iteration of _iterate: smallest system size, relative
+# residual to reach.
 _ITER_MIN_STATES = 400
-_ITER_MAX_PRODUCTS = 32
-_ITER_WARMUP = 4
 _ITER_RTOL = 1e-15
 
 
@@ -82,75 +82,76 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     return ExactSolution(v, policy, bellman_residual(instance, v))
 
 
-def _policy_matrices(instance: DmdpInstance, policy: Policy):
-    """Collapse pair-indexed P and r to state-indexed P_pi (SxS) and r_pi."""
-    P, S = instance.transition, instance.num_states
-    weights = policy.probs[P.rows] * P.vals
-    P_pi = np.bincount(instance.nonzero_flat, weights=weights, minlength=S * S)
-    r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
-    return P_pi.reshape(S, S), r_pi
+def _product(instance: DmdpInstance, w: np.ndarray, y: np.ndarray, transposed: bool):
+    """P_pi y, or P_pi^T y if transposed, summed over P's nonzeros.
+
+    Pairs are state-major, so each state's nonzeros are one segment of P's.
+    """
+    P = instance.transition
+    starts = P.starts[instance.state_offsets]
+    if transposed:
+        lengths = np.diff(starts, append=P.cols.size)
+        return np.bincount(P.cols, w * np.repeat(y, lengths), minlength=instance.num_states)
+    return np.add.reduceat(w * y[P.cols], starts)
 
 
-def _system_matrix(instance: DmdpInstance, policy: Policy):
-    """A = I - gamma P_pi, formed in place on P_pi, and r_pi."""
-    A, r_pi = _policy_matrices(instance, policy)
-    A *= -instance.discount
-    A.ravel()[:: instance.num_states + 1] += 1.0
-    return A, r_pi
-
-
-def _solve(A: np.ndarray, b: np.ndarray, discount: float, transposed: bool):
+def _iterate(instance: DmdpInstance, w: np.ndarray, b: np.ndarray, transposed: bool):
     """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
 
-    Every eigenvalue of A lies within gamma of 1. A 1 = (1 - gamma) 1, and
-    adding gamma 11^T/S moves that eigenvalue to 1 and leaves the others as
-    they are (Brauer's theorem; the same holds for A^T, whose left eigenvector
-    1 is). The fixed-point iteration y <- y + (b - B y) on that shifted matrix
-    B therefore contracts at gamma |lambda_2(P_pi)| instead of gamma, and the
-    shift is undone exactly, with c = gamma / (1 - gamma): x = y + c mean(y) 1,
-    and for A^T the right-hand side b + c mean(b) 1 (1^T A^T x = (1 - gamma)
-    1^T x). Each step forms the true residual with one dense product. When
-    P_pi mixes fast, lambda_2 is small and the iteration reaches a relative
-    residual of _ITER_RTOL within _ITER_MAX_PRODUCTS products, each O(S^2)
-    against the O(S^3) LU, which runs below _ITER_MIN_STATES. On a disc of
-    eigenvalues centred at 1, (1 - z)^k is already the best residual
-    polynomial (Zarantonello's lemma; Saad, Iterative Methods for Sparse
-    Linear Systems, ch. 6), so a Krylov method over the same products would
-    gain less than a factor 2 in the residual. Without enough mixing the
-    residual falls too slowly to reach the target within _ITER_MAX_PRODUCTS;
-    the solve judges the rate from _ITER_WARMUP products on (the first only
-    takes out the mean of b, which the shift made an eigenvector direction)
-    and hands over to the LU.
+    Adding gamma 11^T/S to A moves its eigenvalue 1 - gamma (eigenvector 1)
+    to 1 and keeps the others (Brauer's theorem; likewise for A^T), so
+    y <- rhs + G y, G = gamma (P_pi - 11^T/S), contracts at gamma
+    |lambda_2(P_pi)|. With c = gamma / (1 - gamma), x = y + c mean(y) 1; for
+    A^T, rhs = b + c mean(b) 1. As (P_pi - 11^T/S)^k = P_pi^k - 11^T
+    P_pi^(k-1)/S, ||G^k||_inf <= 2 gamma^k and ||(G^T)^k||_1 <= 2 gamma^k
+    whatever the mixing (Saad, Iterative Methods for Sparse Linear Systems,
+    ch. 4): the k-th residual is below _ITER_RTOL ||rhs||_2 once 2 sqrt(S)
+    gamma^k <= _ITER_RTOL, and the products are capped a decade past that.
+    Rounding leaves a residual floor near eps ||y|| / sqrt(1 - gamma^2), so
+    the target is the larger of _ITER_RTOL ||rhs|| and _ITER_RTOL ||y|| /
+    sqrt(1 - gamma), a backward-error test like the one LU meets.
     """
-    M = A.T if transposed else A
-    if b.shape[0] >= _ITER_MIN_STATES:
-        c = discount / (1.0 - discount)
-        rhs = b + c * b.mean() if transposed else b
-        target = _ITER_RTOL * np.linalg.norm(rhs)
-        y, residuals = rhs.copy(), [np.linalg.norm(rhs)]
-        for k in range(1, _ITER_MAX_PRODUCTS + 1):
-            r = rhs - M @ y - discount * y.mean()
-            residuals.append(np.linalg.norm(r))
-            if residuals[-1] <= target:
-                return y if transposed else y + c * y.mean()
-            if k >= _ITER_WARMUP:
-                # Hand over once the mean reduction over the last three
-                # steps, kept up until the cap, would not reach the target.
-                rate = (residuals[-1] / residuals[-4]) ** (1 / 3)
-                if residuals[-1] * rate ** (_ITER_MAX_PRODUCTS - k) > target:
-                    break
-            y += r
+    S, gamma = b.shape[0], instance.discount
+    c = gamma / (1.0 - gamma)
+    rhs = b + c * b.mean() if transposed else b
+    norm_rhs, noise = np.linalg.norm(rhs), 1.0 / math.sqrt(1.0 - gamma)
+    cap = math.ceil(math.log(_ITER_RTOL / (20.0 * math.sqrt(S))) / math.log(gamma))
+    y = rhs
+    for _ in range(cap):
+        y_next = rhs + gamma * (_product(instance, w, y, transposed) - y.mean())
+        target = _ITER_RTOL * max(norm_rhs, noise * np.linalg.norm(y_next))
+        if np.linalg.norm(y_next - y) <= target:
+            return y_next if transposed else y_next + c * y_next.mean()
+        y = y_next
+    raise SingularSystem(f"policy system not solved to {_ITER_RTOL} in {cap} products")
+
+
+def _solve(instance: DmdpInstance, w: np.ndarray, b: np.ndarray, transposed: bool):
+    """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
+
+    Below _ITER_MIN_STATES by LU on the dense A, from there on by _iterate.
+    """
+    S = instance.num_states
+    if S >= _ITER_MIN_STATES:
+        return _iterate(instance, w, b, transposed)
+    P = instance.transition
+    A = np.bincount(instance.pair_state[P.rows] * S + P.cols, weights=w, minlength=S * S)
+    A = A.reshape(S, S)
+    A *= -instance.discount
+    A.ravel()[:: S + 1] += 1.0
     try:
-        return np.linalg.solve(M, b)
+        return np.linalg.solve(A.T if transposed else A, b)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
         raise SingularSystem(str(exc)) from exc
 
 
 def policy_evaluation(instance: DmdpInstance, policy: Policy) -> np.ndarray:
     """Value vector of a policy: the solution of (I - gamma P_pi) v = r_pi."""
-    A, r_pi = _system_matrix(instance, policy)
-    v = _solve(A, r_pi, instance.discount, transposed=False)
-    if np.abs(A @ v - r_pi).max() > 1e-9:
+    w = policy.probs[instance.transition.rows] * instance.transition.vals
+    r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
+    v = _solve(instance, w, r_pi, transposed=False)
+    Av = v - instance.discount * _product(instance, w, v, transposed=False)
+    if np.abs(Av - r_pi).max() > 1e-9:
         raise SingularSystem("policy evaluation residual exceeds 1e-9")
     return v
 
@@ -163,8 +164,8 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     and satisfies the dual LP flow constraint.
     """
     q = check_distribution(q, instance.num_states, "q")
-    A, _ = _system_matrix(instance, policy)
-    lam = _solve(A, (1.0 - instance.discount) * q, instance.discount, transposed=True)
+    w = policy.probs[instance.transition.rows] * instance.transition.vals
+    lam = _solve(instance, w, (1.0 - instance.discount) * q, transposed=True)
     mu = lam[instance.pair_state] * policy.probs
     if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < -1e-9):
         raise SingularSystem("occupancy measure left the simplex")

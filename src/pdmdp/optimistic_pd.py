@@ -235,8 +235,6 @@ def run(
         e_rows, e_values = _split_columns(E.csc.rows, E.csc.vals, E.csc.starts)
         Ev = E.apply(v)
         g_bar = _dual_gradient(instance, v, Ev)
-    else:
-        g_bar = np.zeros(num_pairs)
 
     sum_v = np.zeros(num_states)
     sum_mu = np.zeros(num_pairs)
@@ -299,16 +297,17 @@ def run(
         if prediction is not None:
             Ev = E.apply(v) if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
             g_bar_next = _dual_gradient(instance, v, Ev)
+            deviation = g_mu - g_bar
+            combined = deviation + g_bar_next
+            g_bar = g_bar_next
         else:
-            g_bar_next = g_bar  # stays zero
-        deviation = g_mu - g_bar
+            deviation = combined = g_mu  # the predicted gradient is zero
         mu_dev_sq_sum += float(np.abs(deviation).max()) ** 2
         if fixed_rates is not None:
             eta_mu = fixed_rates[1]
         else:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
-        mu = update_mu(mu, deviation + g_bar_next, eta_mu)
-        g_bar = g_bar_next
+        mu = update_mu(mu, combined, eta_mu)
 
         if t in checkpoint_set:
             v_bar = sum_v / t

@@ -1,4 +1,8 @@
-"""bench.execute: one anytime run per seed against one fresh run per cell."""
+"""bench.execute: one anytime run per seed against one fresh run per cell;
+bench.write_csv: one git describe per process."""
+
+import subprocess
+from unittest import mock
 
 import pytest
 
@@ -55,3 +59,15 @@ def test_one_run_per_seed_matches_fresh_runs(monkeypatch, label):
 
     assert calls == [HORIZONS[-1]] * len(SEEDS)
     assert [row[:-1] for row in rows] == expected
+
+
+def test_write_csv_describes_the_checkout_once(tmp_path):
+    config = bench.ExperimentConfig.from_dict(
+        dict(CONFIGS["smd"], instance="three-state", horizons=[5], seeds=[0]))
+    rows = bench.execute(config)
+    bench._git_describe.cache_clear()
+    with mock.patch.object(bench.subprocess, "run", wraps=subprocess.run) as spawn:
+        bench.write_csv(tmp_path / "a.csv", config, rows)
+        bench.write_csv(tmp_path / "b.csv", config, rows)
+    assert spawn.call_count == 1
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()

@@ -326,15 +326,6 @@ class TestCsrMatrix:
         with pytest.raises(dataclasses.FrozenInstanceError):
             M.vals = M.vals[::-1]
 
-    def test_instance_flat_index_contiguous(self):
-        inst = random_instance(30, 2, sparsity=0.2)
-        flat = inst.nonzero_flat
-        assert flat.flags.c_contiguous
-        P = inst.transition
-        np.testing.assert_array_equal(
-            np.divmod(flat, inst.num_states), (inst.pair_state[P.rows], P.cols)
-        )
-
 
 class TestInstanceFiles:
     def test_round_trip(self, tmp_path, ex3):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdp import bench, exact, minimax
+from pdmdp import bench, exact, minimax, optimistic_pd
 from pdmdp.bench import CSV_COLUMNS
-from pdmdp.core import build_instance, build_policy, build_prediction, deterministic_policy
+from pdmdp.core import (
+    SingularSystem,
+    build_instance,
+    build_policy,
+    build_prediction,
+    deterministic_policy,
+)
 from pdmdp.exact import (
     apply_bellman,
     bellman_residual,
@@ -17,7 +24,7 @@ from pdmdp.exact import (
 )
 from pdmdp.instances import HardFamilySpec, hard_family, random_instance
 from pdmdp.minimax import shifted_transition_apply_t
-from pdmdp.optimistic_pd import run
+from pdmdp.optimistic_pd import extract_policy, run
 from test_minimax import dense_shifted_apply, dense_shifted_apply_t
 
 
@@ -186,11 +193,15 @@ class TestAgainstDenseOracle:
     @given(instances_with_policies())
     @settings(max_examples=60, deadline=None)
     def test_policy_matrices(self, case):
-        inst, pol, _ = case
-        P_pi, r_pi = exact._policy_matrices(inst, pol)
-        P_ref, r_ref = dense_policy_matrices(inst, pol)
-        np.testing.assert_allclose(P_pi, P_ref, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(r_pi, r_ref)
+        # P_pi y and P_pi^T y summed over P's nonzeros against P_pi from the
+        # dense N x S copy.
+        inst, pol, rng = case
+        P_ref, _ = dense_policy_matrices(inst, pol)
+        w = pol.probs[inst.transition.rows] * inst.transition.vals
+        y = rng.random(inst.num_states)
+        for transposed, M in ((False, P_ref), (True, P_ref.T)):
+            got = exact._product(inst, w, y, transposed)
+            np.testing.assert_allclose(got, M @ y, rtol=0, atol=1e-15)
 
     @given(instances_with_policies())
     @settings(max_examples=40, deadline=None)
@@ -198,22 +209,21 @@ class TestAgainstDenseOracle:
         inst, pol, rng = case
         q = rng.dirichlet(np.ones(inst.num_states))
         v, mu = policy_evaluation(inst, pol), occupancy_measure(inst, pol, q)
-        with mock.patch.object(exact, "_policy_matrices", dense_policy_matrices):
-            v_ref, mu_ref = policy_evaluation(inst, pol), occupancy_measure(inst, pol, q)
+        v_ref, mu_ref = dense_solutions(inst, pol, q)
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
 
-    def test_run_trace(self, monkeypatch):
-        inst = random_instance(200, 4, sparsity=0.05)
-        prediction = build_prediction(inst, random_instance(200, 4, seed=1).transition)
+    def test_run_trace(self):
+        # At the size where the iteration takes over: every checkpoint value
+        # against the dense solve for the policy of its averaged occupancy.
+        S = exact._ITER_MIN_STATES
+        inst = random_instance(S, 4, sparsity=0.05)
+        prediction = build_prediction(inst, random_instance(S, 4, seed=1).transition)
         q = np.full(inst.num_states, 1.0 / inst.num_states)
         trace = run(inst, prediction, q, 200, seed=3).trace
-        monkeypatch.setattr(exact, "_policy_matrices", dense_policy_matrices)
-        reference = run(inst, prediction, q, 200, seed=3).trace
-        assert [p.gap for p in trace] == [p.gap for p in reference]
-        np.testing.assert_allclose(
-            [p.value for p in trace], [p.value for p in reference], rtol=0, atol=1e-12
-        )
+        for point in trace:
+            v_ref, _ = dense_solutions(inst, extract_policy(inst, point.averaged_mu), q)
+            assert abs(point.value - float(q @ v_ref)) <= 1e-12 * max(1.0, abs(point.value))
 
     def test_trend_configs(self, monkeypatch):
         # The three reproduce_trends configurations, short: the value column
@@ -228,10 +238,12 @@ class TestAgainstDenseOracle:
             )
         ]
         rows = [row for config in configs for row in bench.execute(config)]
-        def dense_solve(A, b, discount, transposed):
-            return np.linalg.solve(A.T if transposed else A, b)
 
-        monkeypatch.setattr(exact, "_solve", dense_solve)
+        def dense_evaluation(instance, policy):
+            q = np.full(instance.num_states, 1.0 / instance.num_states)
+            return dense_solutions(instance, policy, q)[0]
+
+        monkeypatch.setattr(optimistic_pd, "policy_evaluation", dense_evaluation)
         monkeypatch.setattr(minimax, "shifted_transition_apply", dense_shifted_apply)
         monkeypatch.setattr(minimax, "shifted_transition_apply_t", dense_shifted_apply_t)
         reference = [row for config in configs for row in bench.execute(config)]
@@ -250,25 +262,41 @@ def dense_solutions(instance, policy, q):
     return v, lam[instance.pair_state] * policy.probs
 
 
+def count_products(monkeypatch):
+    """Patch exact._product to count its calls."""
+    counts = {"products": 0}
+    product = exact._product
+
+    def counted(*args, **kwargs):
+        counts["products"] += 1
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_product", counted)
+    return counts
+
+
+def product_cap(instance):
+    """The cap _iterate puts on its products: a decade past 2 sqrt(S) gamma^k."""
+    bound = exact._ITER_RTOL / (20.0 * np.sqrt(instance.num_states))
+    return int(np.ceil(np.log(bound) / np.log(instance.discount)))
+
+
 class TestKrylovSolve:
-    """Above the crossover the solves iterate and fall back to LU only when that is too slow."""
+    """From _ITER_MIN_STATES on, the solves iterate on P's nonzeros and never use LU."""
 
     @pytest.mark.parametrize(
-        "shape, lu_calls",
+        "shape",
         [
-            (dict(num_states=1000, actions_per_state=4, sparsity=0.05), 0),
-            (dict(num_states=1000, actions_per_state=4, sparsity=0.05, discount=0.99), 0),
-            # The slowest shape that still converges: 26-27 products of the
-            # 32 allowed with a deterministic policy.
-            (dict(num_states=400, actions_per_state=4, sparsity=0.05), 0),
-            # One next state per pair: the iteration converges too slowly
-            # and hands over.
-            (dict(num_states=1000, actions_per_state=2, sparsity=0.001), 1),
+            dict(num_states=1000, actions_per_state=4, sparsity=0.05),
+            dict(num_states=1000, actions_per_state=4, sparsity=0.05, discount=0.99),
+            dict(num_states=400, actions_per_state=4, sparsity=0.05),
+            # One next state per pair: P_pi mixes slowly.
+            dict(num_states=1000, actions_per_state=2, sparsity=0.001),
         ],
         ids=["benchmark-shape", "discount-0.99", "slow-converging", "slow-mixing"],
     )
     @pytest.mark.parametrize("deterministic", [False, True], ids=["mixed", "deterministic"])
-    def test_matches_dense_solve(self, shape, lu_calls, deterministic):
+    def test_matches_dense_solve(self, shape, deterministic):
         inst = random_instance(seed=5, **shape)
         assert inst.num_states >= exact._ITER_MIN_STATES
         rng = np.random.default_rng(6)
@@ -279,38 +307,57 @@ class TestKrylovSolve:
         q = rng.dirichlet(np.ones(inst.num_states))
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             v = policy_evaluation(inst, pol)
-            assert solve.call_count == lu_calls
             mu = occupancy_measure(inst, pol, q)
-            assert solve.call_count == 2 * lu_calls
+        assert solve.call_count == 0
         v_ref, mu_ref = dense_solutions(inst, pol, q)
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
         # Strong duality of the pair: (1 - gamma) q.v_pi = mu_pi.r.
         assert abs((1 - inst.discount) * float(q @ v) - float(mu @ inst.reward)) <= 1e-12
 
-    def test_slow_mixing_hands_over_at_warmup(self, monkeypatch):
-        # The residual falls by 0.6-0.8 per product, so the hand-over fires
-        # as soon as it may: a failed attempt costs _ITER_WARMUP products.
-        class Counting(np.ndarray):
-            products = 0
+    def test_products_within_bound(self, monkeypatch):
+        # Slow mixing, slow discount: the residual falls by about gamma per
+        # product, so the bound is nearly tight, and both solves end inside
+        # the cap.
+        counts = count_products(monkeypatch)
+        inst = random_instance(1000, 2, sparsity=0.001, seed=5, discount=0.99)
+        pol = deterministic_policy(inst, np.random.default_rng(6).integers(0, 2, 1000))
+        q = np.full(inst.num_states, 1e-3)
+        mu = occupancy_measure(inst, pol, q)
+        assert 0 < counts["products"] < product_cap(inst)
+        v = policy_evaluation(inst, pol)
+        assert counts["products"] < 2 * product_cap(inst) + 1
+        v_ref, mu_ref = dense_solutions(inst, pol, q)
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12)
 
-            def __matmul__(self, other):
-                Counting.products += 1
-                return np.asarray(self) @ other
+    def test_singular_past_the_cap(self, monkeypatch):
+        # A target below the rounding floor is never met: the solve stops at
+        # the cap and says so instead of returning an unconverged vector.
+        monkeypatch.setattr(exact, "_ITER_RTOL", 1e-30)
+        counts = count_products(monkeypatch)
+        inst = random_instance(exact._ITER_MIN_STATES, 2, sparsity=0.05)
+        pol = random_policy(inst, np.random.default_rng(0))
+        with pytest.raises(SingularSystem, match="not solved"):
+            policy_evaluation(inst, pol)
+        assert counts["products"] == product_cap(inst)
 
-        system_matrix = exact._system_matrix
-
-        def counting_system_matrix(instance, policy):
-            A, r_pi = system_matrix(instance, policy)
-            return A.view(Counting), r_pi
-
-        monkeypatch.setattr(exact, "_system_matrix", counting_system_matrix)
-        inst = random_instance(1000, 2, sparsity=0.001, seed=5)
-        pol = random_policy(inst, np.random.default_rng(6))
-        occupancy_measure(inst, pol, np.full(inst.num_states, 1e-3))
-        assert Counting.products == exact._ITER_WARMUP
-        policy_evaluation(inst, pol)  # one more product: the residual check
-        assert Counting.products == 2 * exact._ITER_WARMUP + 1
+    def test_peak_memory_below_dense_system(self):
+        # One S x S float array is 8 S^2 bytes; both solves together allocate
+        # a quarter of that at most, on P's nonzeros (nnz = 20 N here).
+        S = 2000
+        inst = random_instance(S, 4, sparsity=0.01)
+        pol = random_policy(inst, np.random.default_rng(0))
+        q = np.full(S, 1.0 / S)
+        policy_evaluation(inst, pol)  # builds the instance's cached index arrays
+        tracemalloc.start()
+        try:
+            policy_evaluation(inst, pol)
+            occupancy_measure(inst, pol, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * S * S / 4
 
     def test_small_instances_use_lu(self, ex3, ex3_solution):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
