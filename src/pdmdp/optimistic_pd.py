@@ -296,10 +296,9 @@ def run(
                   if refresh else _add_columns(Cv, c_rows, c_values, J, dv_J))
         if prediction is not None:
             Ev = E.apply(v) if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
-            g_bar_next = _dual_gradient(instance, v, Ev)
             deviation = g_mu - g_bar
-            combined = deviation + g_bar_next
-            g_bar = g_bar_next
+            g_bar = _dual_gradient(instance, v, Ev)
+            combined = deviation + g_bar
         else:
             deviation = combined = g_mu  # the predicted gradient is zero
         mu_dev_sq_sum += float(np.abs(deviation).max()) ** 2
