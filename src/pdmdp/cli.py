@@ -11,7 +11,7 @@ import sys
 
 from . import bench
 from .core import DmdpError, save_instance
-from .exact import value_iteration
+from .exact import DEFAULT_TOLERANCE, value_iteration
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-exact", help="value-iterate an instance to optimality")
     p.add_argument("instance", help="preset name or instance JSON path")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_solve_exact)
 
     p = sub.add_parser("run", help="run a configured experiment grid")

@@ -62,11 +62,11 @@ class SpecOutOfRange(DmdpError):
     pass
 
 
-def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
+def _first_bad_sum(sums: np.ndarray, values: np.ndarray, starts) -> int | None:
     """Index of the first group whose entries do not sum to 1, else None.
 
     ``sums[i]`` is a float sum, in any order, of non-negative entries whose
-    nonzeros are ``group(i)``; at most ``lengths[i]`` of them are nonzero. A
+    nonzeros are among the segment ``values[starts[i]:starts[i + 1]]``. A
     group passes when the exact sum of its entries is within STOCHASTIC_TOL
     of 1; a NaN sum fails. Adding an exact zero rounds nothing, so in any
     summation tree over k nonzeros an entry meets at most k - 1 roundings,
@@ -79,11 +79,9 @@ def _first_bad_sum(sums: np.ndarray, lengths, group) -> int | None:
     """
     dev = np.abs(sums - 1.0)
     bad = ~(dev <= STOCHASTIC_TOL)
-    near = np.abs(dev - STOCHASTIC_TOL) <= np.asarray(lengths) * (
-        np.finfo(float).eps / 2 * sums
-    )
+    near = np.abs(dev - STOCHASTIC_TOL) <= np.diff(starts) * (np.finfo(float).eps / 2 * sums)
     for i in np.flatnonzero(near):
-        entries = group(i).tolist()
+        entries = values[starts[i] : starts[i + 1]].tolist()
         # Signs of correctly rounded sums are exact: -tol <= sum - 1 <= tol.
         bad[i] = not (
             math.fsum(entries + [-1.0, -STOCHASTIC_TOL])
@@ -106,10 +104,14 @@ class ColumnForm(NamedTuple):
 class CsrMatrix:
     """A matrix held as its nonzeros, row by row (CSR); its fields are fixed.
 
-    Row i has columns cols[starts[i]:starts[i + 1]], increasing, and values
-    vals there. Every row of a stochastic matrix has a nonzero, so the starts
-    increase strictly, as np.add.reduceat needs. np.asarray(M) is the dense M,
-    for inspection; nothing in the package densifies. The arrays stay
+    Row i has columns cols[starts[i]:starts[i + 1]] and values vals there;
+    an entry of M is the sum of the values at its column. The columns of P
+    and E increase along each row, without repeats; a policy's P_pi
+    (exact._policy_matrix) lists the rows of a state's actions one after
+    another, so a column repeats once for each action that reaches it.
+    Every row of a stochastic matrix has a nonzero, so the starts increase
+    strictly, as np.add.reduceat needs. np.asarray(M) is the dense M, for
+    inspection; nothing in the package densifies. The arrays stay
     writeable: np.bincount copies a read-only index array on every call.
     """
 
@@ -143,18 +145,25 @@ class CsrMatrix:
         starts = np.searchsorted(self.cols[order], np.arange(self.shape[1] + 1))
         return ColumnForm(np.argsort(order), self.rows[order], self.vals[order], starts)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v, summed over each row's nonzeros."""
-        return np.add.reduceat(self.vals * v[self.cols], self.starts[:-1])
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M v for a float vector v, summed over each row's nonzeros.
+
+        out, if given, is a float buffer of one value per nonzero that holds
+        the terms instead of a new array; the result is the same.
+        """
+        terms = np.take(v, self.cols, out=out, mode="clip")  # "raise" would buffer
+        terms *= self.vals
+        return np.add.reduceat(terms, self.starts[:-1])
 
     def apply_t(self, w: np.ndarray) -> np.ndarray:
-        """M^T w, summed over each column's nonzeros."""
-        weights = np.repeat(w, np.diff(self.starts)) * self.vals
+        """M^T w for a float vector w, summed over each column's nonzeros."""
+        weights = np.repeat(w, np.diff(self.starts))
+        weights *= self.vals
         return np.bincount(self.cols, weights=weights, minlength=self.shape[1])
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape, dtype=dtype)
-        dense[self.rows, self.cols] = self.vals
+        np.add.at(dense, (self.rows, self.cols), self.vals)
         return dense
 
 
@@ -258,7 +267,7 @@ def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     starts = np.searchsorted(rows, np.arange(shape[0] + 1))
     sums = _row_sums(shape, starts, rows, cols, vals)
-    bad = _first_bad_sum(sums, np.diff(starts), lambda i: vals[starts[i] : starts[i + 1]])
+    bad = _first_bad_sum(sums, vals, starts)
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
     return CsrMatrix(shape, starts, cols, vals / sums[rows])
@@ -389,10 +398,7 @@ def build_policy(instance: DmdpInstance, probs) -> Policy:
     if np.any(p < 0):
         raise NotStochastic("policy entries must be nonnegative")
     sums = np.add.reduceat(p, instance.state_offsets)
-    actions, offsets = instance.actions_per_state, instance.state_offsets
-    bad = _first_bad_sum(
-        sums, np.array(actions), lambda s: p[offsets[s] : offsets[s] + actions[s]]
-    )
+    bad = _first_bad_sum(sums, p, np.append(instance.state_offsets, p.size))
     if bad is not None:
         raise NotStochastic("per-state action probabilities must sum to 1")
     p = p / sums[instance.pair_state]

@@ -3,6 +3,7 @@
 These are the ground-truth references for the sampling-based solvers, computed
 on the transition's nonzeros: the policy systems go to the LU below 400 states
 and to a fixed-point iteration with no S x S array from 400 on (see _iterate).
+Every product with P or with a policy's P_pi is CsrMatrix.apply or apply_t.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CsrMatrix,
     DmdpInstance,
     Policy,
     SingularSystem,
@@ -78,36 +80,24 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     return ExactSolution(v, policy, bellman_residual(instance, v))
 
 
-def _workspace(instance: DmdpInstance, policy: Policy) -> np.ndarray:
-    """Row 0: w = pi(a|s) P(s'|s, a) at P's nonzeros; row 1: product scratch.
+def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, np.ndarray]:
+    """(P_pi, buffer): P_pi on P's nonzeros and a buffer for P_pi.apply's out.
 
-    One block, not two arrays: freeing it lifts glibc's adaptive trim threshold
-    past its size, which saves about 590 page faults per S=1000 checkpoint.
+    State s's row of P_pi holds the nonzeros of its actions' rows of P,
+    weighted by pi(a|s). Both are rows of one (2, nnz) block, not two arrays:
+    freeing it lifts glibc's adaptive trim threshold past its size, which
+    saves about 590 page faults per S=1000 checkpoint.
     """
     P = instance.transition
-    work = np.empty((2, P.cols.size))
-    np.take(policy.probs, P.rows, out=work[0], mode="clip")  # "raise" would buffer
-    work[0] *= P.vals
-    return work
+    block = np.empty((2, P.cols.size))
+    np.take(policy.probs, P.rows, out=block[0], mode="clip")  # "raise" would buffer
+    block[0] *= P.vals
+    starts = P.starts[np.append(instance.state_offsets, instance.num_pairs)]
+    S = instance.num_states
+    return CsrMatrix((S, S), starts, P.cols, block[0]), block[1]
 
 
-def _product(instance: DmdpInstance, work: np.ndarray, y: np.ndarray, transposed: bool):
-    """P_pi y, or P_pi^T y if transposed, summed over P's nonzeros.
-
-    Pairs are state-major, so each state's nonzeros are one segment of P's.
-    """
-    P = instance.transition
-    w, terms = work
-    starts = P.starts[instance.state_offsets]
-    if transposed:
-        np.multiply(w, np.repeat(y, np.diff(starts, append=w.size)), out=terms)
-        return np.bincount(P.cols, terms, minlength=instance.num_states)
-    np.take(y, P.cols, out=terms, mode="clip")
-    terms *= w
-    return np.add.reduceat(terms, starts)
-
-
-def _iterate(instance: DmdpInstance, work: np.ndarray, b: np.ndarray, transposed: bool):
+def _iterate(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: bool):
     """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
 
     Adding gamma 11^T/S to A moves its eigenvalue 1 - gamma to 1 and keeps
@@ -128,7 +118,8 @@ def _iterate(instance: DmdpInstance, work: np.ndarray, b: np.ndarray, transposed
     cap = math.ceil(math.log(_ITER_RTOL / (20.0 * math.sqrt(S))) / math.log(gamma))
     y = rhs
     for _ in range(cap):
-        y_next = rhs + gamma * (_product(instance, work, y, transposed) - y.mean())
+        product = P_pi.apply_t(y) if transposed else P_pi.apply(y, out=buffer)
+        y_next = rhs + gamma * (product - y.mean())
         target = _ITER_RTOL * max(norm_rhs, noise * np.linalg.norm(y_next))
         if np.linalg.norm(y_next - y) <= target:
             return y_next if transposed else y_next + c * y_next.mean()
@@ -136,12 +127,12 @@ def _iterate(instance: DmdpInstance, work: np.ndarray, b: np.ndarray, transposed
     raise SingularSystem(f"policy system not solved to {_ITER_RTOL} in {cap} products")
 
 
-def _solve(instance: DmdpInstance, work: np.ndarray, b: np.ndarray, transposed: bool):
+def _solve(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: bool):
     """_iterate from _ITER_MIN_STATES on, LU on the dense A = I - gamma P_pi below."""
-    S, P = instance.num_states, instance.transition
+    S = instance.num_states
     if S >= _ITER_MIN_STATES:
-        return _iterate(instance, work, b, transposed)
-    A = np.bincount(instance.pair_state[P.rows] * S + P.cols, work[0], S * S).reshape(S, S)
+        return _iterate(instance, P_pi, buffer, b, transposed)
+    A = np.bincount(P_pi.rows * S + P_pi.cols, P_pi.vals, S * S).reshape(S, S)
     A *= -instance.discount
     A.ravel()[:: S + 1] += 1.0
     try:
@@ -152,10 +143,10 @@ def _solve(instance: DmdpInstance, work: np.ndarray, b: np.ndarray, transposed: 
 
 def policy_evaluation(instance: DmdpInstance, policy: Policy) -> np.ndarray:
     """Value vector of a policy: the solution of (I - gamma P_pi) v = r_pi."""
-    work = _workspace(instance, policy)
+    P_pi, buffer = _policy_matrix(instance, policy)
     r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
-    v = _solve(instance, work, r_pi, transposed=False)
-    if np.abs(v - instance.discount * _product(instance, work, v, False) - r_pi).max() > 1e-9:
+    v = _solve(instance, P_pi, buffer, r_pi, transposed=False)
+    if np.abs(v - instance.discount * P_pi.apply(v, out=buffer) - r_pi).max() > 1e-9:
         raise SingularSystem("policy evaluation residual exceeds 1e-9")
     return v
 
@@ -169,7 +160,7 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     """
     q = check_distribution(q, instance.num_states, "q")
     b = (1.0 - instance.discount) * q
-    lam = _solve(instance, _workspace(instance, policy), b, transposed=True)
+    lam = _solve(instance, *_policy_matrix(instance, policy), b, transposed=True)
     mu = lam[instance.pair_state] * policy.probs
     if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < -1e-9):
         raise SingularSystem("occupancy measure left the simplex")

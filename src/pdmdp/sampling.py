@@ -69,8 +69,9 @@ def sample_cumulative(cumulative, stream: SeededStream) -> int:
     The unchecked inverse-CDF primitive: cumulative must be the running sum
     of nonnegative weights with a positive total.
     """
-    idx = bisect.bisect_right(cumulative, stream.uniform() * cumulative[-1])
-    return min(idx, len(cumulative) - 1)
+    last = len(cumulative) - 1
+    # Bisecting [0, last) clamps the index to the last weight.
+    return bisect.bisect_right(cumulative, stream.uniform() * cumulative[last], 0, last)
 
 
 def sample_transition(

@@ -51,7 +51,8 @@ def dense_validate_rows(entries, shape, what):
     if np.any(rows < 0) or np.any(rows > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
     sums = rows.sum(axis=1)
-    bad = core._first_bad_sum(sums, rows.shape[1], lambda i: rows[i])
+    starts = np.arange(rows.shape[0] + 1) * rows.shape[1]
+    bad = core._first_bad_sum(sums, rows.ravel(), starts)
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")
     return dense_csr(rows)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pdmdp import bench, exact, minimax, optimistic_pd
 from pdmdp.bench import CSV_COLUMNS
 from pdmdp.core import (
+    CsrMatrix,
     SingularSystem,
     build_instance,
     build_policy,
@@ -197,11 +198,38 @@ class TestAgainstDenseOracle:
         # dense N x S copy.
         inst, pol, rng = case
         P_ref, _ = dense_policy_matrices(inst, pol)
-        work = exact._workspace(inst, pol)
+        P_pi, buffer = exact._policy_matrix(inst, pol)
         y = rng.random(inst.num_states)
-        for transposed, M in ((False, P_ref), (True, P_ref.T)):
-            got = exact._product(inst, work, y, transposed)
-            np.testing.assert_allclose(got, M @ y, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(P_pi.apply(y, out=buffer), P_ref @ y, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(P_pi.apply_t(y), P_ref.T @ y, rtol=0, atol=1e-15)
+
+    def test_dense_policy_matrix_sums_shared_next_states(self):
+        # Both actions of state 0 reach states 0 and 1: P_pi lists each of
+        # those columns twice in row 0, and its dense form adds them.
+        P = [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        inst = build_instance(3, [2, 1, 1], P, [0.0, 0.5, 1.0, 0.2], 0.9)
+        pol = build_policy(inst, [0.3, 0.7, 1.0, 1.0])
+        P_pi, _ = exact._policy_matrix(inst, pol)
+        assert P_pi.cols[P_pi.starts[0] : P_pi.starts[1]].tolist() == [0, 1, 0, 1]
+        P_ref, _ = dense_policy_matrices(inst, pol)
+        np.testing.assert_array_equal(np.asarray(P_pi), P_ref)
+
+    def test_product_into_buffer(self):
+        # At S=1000 the buffer holds the terms: apply allocates less than
+        # half an nnz-sized array, and its result is bitwise apply's own.
+        inst = random_instance(1000, 4, sparsity=0.05)
+        pol = random_policy(inst, np.random.default_rng(0))
+        P_pi, buffer = exact._policy_matrix(inst, pol)
+        y = np.random.default_rng(1).random(inst.num_states)
+        want = P_pi.apply(y)
+        tracemalloc.start()
+        try:
+            got = P_pi.apply(y, out=buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer.nbytes / 2
+        assert got.tobytes() == want.tobytes()
 
     @given(instances_with_policies())
     @settings(max_examples=40, deadline=None)
@@ -263,15 +291,18 @@ def dense_solutions(instance, policy, q):
 
 
 def count_products(monkeypatch):
-    """Patch exact._product to count its calls."""
+    """Patch CsrMatrix.apply and apply_t to count their calls."""
     counts = {"products": 0}
-    product = exact._product
 
-    def counted(*args, **kwargs):
-        counts["products"] += 1
-        return product(*args, **kwargs)
+    def counting(product):
+        def counted(*args, **kwargs):
+            counts["products"] += 1
+            return product(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "_product", counted)
+        return counted
+
+    for name in ("apply", "apply_t"):
+        monkeypatch.setattr(CsrMatrix, name, counting(getattr(CsrMatrix, name)))
     return counts
 
 

@@ -46,9 +46,9 @@ def dense_reference_run(
     """The engine loop written plainly, as the oracle for run().
 
     Every step recomputes both N x S products and the full value step, every
-    draw (the model's transitions included) is validated, and both dual
-    estimators are written out here. Returns (step, gap, value, v_bar, mu_bar)
-    per checkpoint.
+    draw (the model's transitions included) is validated, and the gradient
+    estimators and both mirror steps are written out here, not taken from the
+    engine. Returns (step, gap, value, v_bar, mu_bar) per checkpoint.
     """
     q = check_distribution(q, instance.num_states, "q")
     n, s = instance.num_pairs, instance.num_states
@@ -74,10 +74,11 @@ def dense_reference_run(
         pair = checked_draw(mu, streams["v-side"])
         nxt = checked_draw(P[pair], streams["v-side"])
         init = checked_draw(q, streams["initial-state"])
-        g_v = sampled_v_gradient(s, gamma, init, nxt, pair_state[pair])
+        g_v = np.zeros(s)
+        np.add.at(g_v, [init, nxt, pair_state[pair]], [1.0 - gamma, gamma, -1.0])
         v_sq += float(g_v @ g_v)
         eta_v = fixed_rates[0] if fixed_rates else v_learning_rate(s, gamma, v_sq)
-        v_next = update_v(v, g_v, eta_v, radius)
+        v_next = v if eta_v is None else np.clip(v - eta_v * g_v, -radius, radius)
         pair2 = checked_draw(np.full(n, 1.0 / n), streams["mu-side"])
         nxt2 = checked_draw(P[pair2], streams["mu-side"])
         pair_counts[pair2] += 1
@@ -85,12 +86,16 @@ def dense_reference_run(
         if mu_estimator == "averaged":
             g_mu = (n / t) * (pair_counts * (v[pair_state] - r) - gamma * (triple_counts @ v))
         else:
-            g_mu = fresh_mu_gradient(instance, pair2, nxt2, v)
+            g_mu = np.zeros(n)
+            g_mu[pair2] = n * (v[pair_state[pair2]] - gamma * v[nxt2] - r[pair2])
         g_bar_next = predicted(v_next)
         deviation = g_mu - g_bar
         mu_sq += float(np.abs(deviation).max()) ** 2
         eta_mu = fixed_rates[1] if fixed_rates else mu_learning_rate(n, mu_sq)
-        mu = update_mu(mu, deviation + g_bar_next, eta_mu)
+        if eta_mu:  # None or zero leaves mu where it is
+            combined = deviation + g_bar_next
+            w = mu * np.exp(-eta_mu * (combined - combined.min()))
+            mu = w / w.sum()
         g_bar, v = g_bar_next, v_next
         if t in checkpoints:
             v_bar, mu_bar = sum_v / t, sum_mu / t
