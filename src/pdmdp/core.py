@@ -100,6 +100,10 @@ class ColumnForm(NamedTuple):
     starts: np.ndarray
 
 
+# Rows longer than this take one np.cumsum each in CsrMatrix.cumsum.
+_LONG_ROW = 64
+
+
 @dataclass(frozen=True)
 class CsrMatrix:
     """A matrix held as its nonzeros, row by row (CSR); its fields are fixed.
@@ -110,8 +114,8 @@ class CsrMatrix:
     (exact._policy_matrix) lists the rows of a state's actions one after
     another, so a column repeats once for each action that reaches it.
     Every row of a stochastic matrix has a nonzero, so the starts increase
-    strictly, as np.add.reduceat needs. np.asarray(M) is the dense M, for
-    inspection; nothing in the package densifies. The arrays stay
+    strictly, as np.add.reduceat needs. np.asarray(M) is the dense M; only
+    the LU of a small policy system (exact._solve) densifies. The arrays stay
     writeable: np.bincount copies a read-only index array on every call.
     """
 
@@ -122,7 +126,7 @@ class CsrMatrix:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
+        return np.repeat(np.arange(self.shape[0]), self.starts[1:] - self.starts[:-1])
 
     @cached_property
     def bounds(self) -> list:
@@ -131,12 +135,22 @@ class CsrMatrix:
 
     @cached_property
     def cumsum(self) -> np.ndarray:
-        """np.cumsum(dense, axis=1) at each nonzero, bitwise: adding zeros is exact."""
+        """Each row's sequential cumsum over its nonzeros, in column order.
+
+        Bitwise np.cumsum(dense, axis=1) at each nonzero, since adding a zero
+        is exact. A row's last entry defines its sum (_validate_rows). Rows
+        of up to _LONG_ROW nonzeros advance together, one pass per column;
+        a longer row takes one np.cumsum, as sequential as those passes.
+        """
         out = self.vals.copy()
-        firsts, lengths = self.starts[:-1], np.diff(self.starts)
-        for j in range(1, int(lengths.max())):
-            k = firsts[lengths > j] + j
+        firsts, ends = self.starts[:-1], self.starts[1:]
+        lengths = ends - firsts
+        long = lengths > _LONG_ROW
+        for j in range(1, int(lengths[~long].max(initial=0))):
+            k = firsts[(lengths > j) & ~long] + j
             out[k] += out[k - 1]
+        for a, b in zip(firsts[long].tolist(), ends[long].tolist()):
+            np.cumsum(out[a:b], out=out[a:b])
         return out
 
     @cached_property
@@ -157,14 +171,14 @@ class CsrMatrix:
 
     def apply_t(self, w: np.ndarray) -> np.ndarray:
         """M^T w for a float vector w, summed over each column's nonzeros."""
-        weights = np.repeat(w, np.diff(self.starts))
+        weights = np.repeat(w, self.starts[1:] - self.starts[:-1])
         weights *= self.vals
         return np.bincount(self.cols, weights=weights, minlength=self.shape[1])
 
     def __array__(self, dtype=None, copy=None):
-        dense = np.zeros(self.shape, dtype=dtype)
-        np.add.at(dense, (self.rows, self.cols), self.vals)
-        return dense
+        n, s = self.shape
+        dense = np.bincount(self.rows * s + self.cols, self.vals, n * s)
+        return dense.reshape(self.shape).astype(dtype, copy=False)
 
 
 def _array(x, dtype, what: str) -> np.ndarray:
@@ -228,31 +242,6 @@ def _entries(M, shape: tuple, what: str):
     return rows, cols, vals
 
 
-# Rows per dense block in which _row_sums forms the row sums.
-_SUM_ROWS = 64
-
-
-def _row_sums(shape: tuple, starts, rows, cols, vals) -> np.ndarray:
-    """Each row's sum, bitwise numpy's sum of the dense row.
-
-    The nonzeros of _SUM_ROWS rows at a time are scattered into one reused
-    dense block, which is summed along its rows: the sum runs over the zeros
-    too, in numpy's pairwise order. Summing the nonzeros alone (np.add.reduceat)
-    rounds in another order and would move P by an ulp in many rows.
-    """
-    n = shape[0]
-    sums = np.empty(n)
-    block = np.zeros((_SUM_ROWS, shape[1]))
-    for lo in range(0, n, _SUM_ROWS):
-        hi = min(lo + _SUM_ROWS, n)
-        a, b = starts[lo], starts[hi]
-        at = (rows[a:b] - lo, cols[a:b])
-        block[at] = vals[a:b]
-        sums[lo:hi] = block[: hi - lo].sum(axis=1)
-        block[at] = 0.0
-    return sums
-
-
 def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
     """Check entries are a shape matrix of distributions; return it renormalized.
 
@@ -266,7 +255,10 @@ def _validate_rows(entries, shape: tuple, what: str) -> CsrMatrix:
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     starts = np.searchsorted(rows, np.arange(shape[0] + 1))
-    sums = _row_sums(shape, starts, rows, cols, vals)
+    # A row's sum is the last entry of its cumsum, which is freed before the
+    # division; an empty row sums to 0.0.
+    full, sums = starts[1:] > starts[:-1], np.zeros(shape[0])
+    sums[full] = CsrMatrix(shape, starts, cols, vals).cumsum[starts[1:][full] - 1]
     bad = _first_bad_sum(sums, vals, starts)
     if bad is not None:
         raise NotStochastic(f"{what}: row {bad} sums to {sums[bad]!r}")

@@ -132,7 +132,7 @@ def _solve(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: bool)
     S = instance.num_states
     if S >= _ITER_MIN_STATES:
         return _iterate(instance, P_pi, buffer, b, transposed)
-    A = np.bincount(P_pi.rows * S + P_pi.cols, P_pi.vals, S * S).reshape(S, S)
+    A = np.asarray(P_pi)
     A *= -instance.discount
     A.ravel()[:: S + 1] += 1.0
     try:

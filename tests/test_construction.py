@@ -2,8 +2,9 @@
 
 The oracles below are the dense constructions: the builders filled an N x S
 array row by row, and the validator checked it and kept its entries > 0,
-divided by numpy's row sums. The CSR route must give the same arrays bitwise
-and the same errors.
+divided by the row sums. A row's sum is its sequential sum in column order,
+np.cumsum(rows, axis=1)[:, -1]; adding a zero is exact, so the zeros change
+no bit. The CSR route must give the same arrays bitwise and the same errors.
 """
 
 import json
@@ -22,6 +23,7 @@ from pdmdp.core import (
     NotStochastic,
     OutOfRange,
     ShapeMismatch,
+    build_instance,
     build_prediction,
     load_instance,
     prediction_error,
@@ -37,20 +39,20 @@ from pdmdp.instances import (
 
 def dense_csr(rows):
     """Dense rows to CSR as the dense validator did: entries > 0 over row sums."""
-    sums = rows.sum(axis=1)
+    sums = np.cumsum(rows, axis=1)[:, -1]
     index, cols = divmod(np.flatnonzero(rows > 0), rows.shape[1])
     starts = np.searchsorted(index, np.arange(rows.shape[0] + 1))
     return CsrMatrix(rows.shape, starts, cols, rows[index, cols] / sums[index])
 
 
 def dense_validate_rows(entries, shape, what):
-    """The dense validator: range, then numpy's row sums judged by _first_bad_sum."""
+    """The dense validator: range, then the row sums judged by _first_bad_sum."""
     rows = np.asarray(entries, dtype=float)
     if rows.shape != shape:
         raise ShapeMismatch(f"{what} must be {shape}, got {rows.shape}")
     if np.any(rows < 0) or np.any(rows > 1):
         raise NotStochastic(f"{what}: entries must lie in [0, 1]")
-    sums = rows.sum(axis=1)
+    sums = np.cumsum(rows, axis=1)[:, -1]
     starts = np.arange(rows.shape[0] + 1) * rows.shape[1]
     bad = core._first_bad_sum(sums, rows.ravel(), starts)
     if bad is not None:
@@ -149,6 +151,15 @@ class TestBuildersAgainstDenseOracles:
         dense = inst.num_pairs * inst.num_states * 8
         assert max(build, validate, compare) < dense / 2, (build, validate, compare)
 
+    def test_identity_builds_in_nonzero_memory(self):
+        # The S=40 000 identity: 64 rows of S floats alone would be 20 MB.
+        S = 40_000
+        identity = CsrMatrix((S, S), np.arange(S + 1), np.arange(S), np.ones(S))
+        reward = np.zeros(S)
+        inst, peak = traced_peak(lambda: build_instance(S, [1] * S, identity, reward, 0.5))
+        assert inst.transition.vals.tobytes() == identity.vals.tobytes()
+        assert peak < 8e6, peak
+
 
 def traced_peak(f):
     """f() and the peak of memory traced while it ran."""
@@ -244,8 +255,8 @@ class TestValidatorDifferential:
                 assert (want[0] is not NotStochastic) == legal
 
     def test_long_rows_sum_like_dense_rows(self):
-        # More than 8192 columns: numpy sums each whole row pairwise, with no
-        # 8192-entry blocks; 65 rows: two of _row_sums' 64-row blocks.
+        # Rows of about 2000 nonzeros, each summed by one np.cumsum, against
+        # the dense rows' sequential sums over all 9000 columns.
         rng = np.random.default_rng(3)
         rows = rng.dirichlet(np.ones(9000) * 0.05, size=65)
         rows[rows < 1e-5] = 0.0

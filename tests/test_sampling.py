@@ -180,6 +180,13 @@ def with_point_mass_row(instance, pair, next_state):
     )
 
 
+def triangular_instance(num_states):
+    """One action per state; row i of P has i + 1 random nonzeros."""
+    rows = np.tril(np.random.default_rng(4).random((num_states, num_states)))
+    rows /= rows.sum(axis=1)[:, None]
+    return build_instance(num_states, [1] * num_states, rows, np.zeros(num_states), 0.5)
+
+
 class TestSupportIndexedSampler:
     """Draws, counts and column forms on P's nonzeros against dense oracles."""
 
@@ -190,6 +197,8 @@ class TestSupportIndexedSampler:
             random_instance(40, 3, sparsity=0.1, seed=1),
             # 90 nonzeros in each of 600 rows.
             random_instance(300, 2, sparsity=0.3, seed=2),
+            # Rows of up to 64 nonzeros and longer ones in one matrix.
+            triangular_instance(150),
         ],
     )
     def test_transition_cumsum_is_dense_cumsum_bitwise(self, instance):
