@@ -14,14 +14,31 @@ The dual-side estimator reuses the whole sample history re-weighted at the
 current value iterate, which shrinks its variance like 1/t; the sufficient
 statistic is the count C of each triple, a vector over P's nonzeros.
 
-A step costs O(N), not O(N S): it changes at most three coordinates J of v,
-so the engine keeps Cv = C @ v (averaged estimator) and Ev = E @ v (with a
-prediction E) as running state. A sample (i, j) adds v[j] to Cv[i]; the value
-step adds C[:, J] @ dv_J and E[:, J] @ dv_J from the CSC column slices of C
-and E. Both are recomputed over their nonzeros every REFRESH_PERIOD steps,
-which bounds floating-point drift on a schedule that does not depend on the
-horizon, so run(T) is a bitwise prefix of run(T' > T). The fresh estimator
-without a prediction keeps neither product.
+With the averaged estimator or a prediction, a step costs O(N), not O(N S):
+it changes at most three coordinates J of v, so the engine keeps Cv = C @ v
+(averaged estimator) and Ev = E @ v (with a prediction E) as running state.
+A sample (i, j) adds v[j] to Cv[i]; the value step adds C[:, J] @ dv_J and
+E[:, J] @ dv_J from the CSC column slices of C and E. Both are recomputed
+over their nonzeros every REFRESH_PERIOD steps, which bounds floating-point
+drift on a schedule that does not depend on the horizon, so run(T) is a
+bitwise prefix of run(T' > T). The dual gradient is then dense, and so is
+the mirror step (update_mu), its running sum and the draw from mu.
+
+The fresh estimator without a prediction, the SMD baseline, keeps neither
+product, and its dual gradient has one nonzero, so one coordinate of the
+log weights theta moves per step (_LazyDual). The weights exp(theta) sit in
+a sum tree (sampling.SumTree) whose total is the normaliser Z, so the step
+and the v-side draw from mu = exp(theta) / Z cost O(log N). The running sum
+of mu is added up lazily against a clock that gains 1 / Z each step: a
+coordinate's share of the sum is folded in only when its weight changes, or
+when a checkpoint reads the averages, which changes no state. Every
+REFRESH_PERIOD steps, and at once whenever Z leaves a factor Z_RANGE of its
+value at the last rebase, every coordinate is flushed, theta is shifted by
+log Z, and the tree and clock restart. That bounds the rounding in Z and in
+the clock at any horizon, and neither trigger depends on the horizon or the
+checkpoints, so run(T) stays a bitwise prefix of run(T' > T). The dual side
+of this step does O(N) work only then and at checkpoints; the value side's
+running sum costs O(S) per step on either path.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -48,13 +65,18 @@ from .exact import policy_evaluation
 from .minimax import duality_gap
 from .sampling import (
     SampleBudgetLedger,
+    SumTree,
     make_streams,
     sample_cumulative,
     sample_transition,
 )
 
-# Steps between exact recomputations of the running products C @ v and E @ v.
+# Steps between exact recomputations of the running products C @ v and E @ v,
+# and between rebases of the one-coordinate dual step.
 REFRESH_PERIOD = 4096
+# The one-coordinate dual step rebases as soon as its total weight leaves
+# [Z0 / Z_RANGE, Z0 * Z_RANGE], Z0 the total at the last rebase.
+Z_RANGE = 4.0
 
 
 @dataclass(frozen=True)
@@ -151,13 +173,78 @@ def update_v(v, gradient, eta, radius):
 
 
 def update_mu(mu, combined_gradient, eta):
-    """Exponentiated step on the simplex, stabilized by max-subtraction."""
+    """Exponentiated step on the simplex, stabilized by max-subtraction.
+
+    If the largest exponent belongs to coordinates without mass, every
+    weight can underflow; only then is the shift the largest exponent among
+    the coordinates with mass.
+    """
     if eta is None or eta == 0.0:
         return mu.copy()
     exponent = -eta * combined_gradient
     exponent -= exponent.max()
     w = mu * np.exp(exponent)
-    return w / w.sum()
+    total = w.sum()
+    if not total > 0.0:
+        mass = mu > 0.0
+        exponent = exponent[mass]
+        w = np.zeros_like(mu)
+        w[mass] = mu[mass] * np.exp(exponent - exponent.max())
+        total = w.sum()
+    return w / total
+
+
+class _LazyDual:
+    """mu = exp(theta) / Z under a dual gradient with one nonzero per step.
+
+    tick() adds mu to the running sum: the clock gains 1 / Z, and coordinate
+    i's sum is acc[i] + w[i] * (clock - stamp[i]), w = exp(theta) the tree's
+    leaves; acc[i] takes that in whenever w[i] changes. rebase() takes every
+    coordinate in, shifts theta by log Z, rebuilds the tree and restarts the
+    clock.
+    """
+
+    def __init__(self, num_pairs):
+        self.theta = [0.0] * num_pairs
+        self.acc = [0.0] * num_pairs
+        self._restart(np.ones(num_pairs))
+
+    def _restart(self, weights):
+        self.tree = SumTree(weights)
+        total = self.tree.nodes[1]
+        self.z_lo, self.z_hi = total / Z_RANGE, total * Z_RANGE
+        self.log_z_hi = math.log(self.z_hi)
+        self.clock = 0.0
+        self.stamp = [0.0] * len(self.theta)
+
+    def tick(self):
+        self.clock += 1.0 / self.tree.nodes[1]
+
+    def step(self, i, delta):
+        """theta[i] += delta."""
+        theta = self.theta
+        theta[i] += delta
+        if theta[i] > self.log_z_hi:  # exp(theta[i]) alone is above the range
+            self.rebase()
+            return
+        tree = self.tree
+        self.acc[i] += tree.nodes[tree.size + i] * (self.clock - self.stamp[i])
+        self.stamp[i] = self.clock
+        tree.set(i, math.exp(theta[i]))
+        if not self.z_lo <= tree.nodes[1] <= self.z_hi:
+            self.rebase()
+
+    def sums(self):
+        """The running sum of mu over the ticks so far; changes no state."""
+        return np.array(self.acc) + self.tree.weights() * (self.clock - np.array(self.stamp))
+
+    def rebase(self):
+        self.acc = self.sums().tolist()
+        theta = np.array(self.theta)
+        top = theta.max()
+        theta -= top + math.log(np.exp(theta - top).sum())
+        self.theta = theta.tolist()
+        self._restart(np.exp(theta))
 
 
 def extract_policy(instance: DmdpInstance, mu_bar) -> Policy:
@@ -206,6 +293,10 @@ def run(
         raise ValueError("horizon must be at least 1")
     if mu_estimator not in ("averaged", "fresh"):
         raise ValueError(f"unknown mu_estimator {mu_estimator!r}")
+    if fixed_rates is not None:
+        for eta in fixed_rates:
+            if not (0.0 < eta < math.inf):
+                raise ValueError(f"fixed rates must be finite and positive, got {eta!r}")
     q = check_distribution(q, instance.num_states, "q")
     if prediction is not None and prediction.shape != instance.transition.shape:
         raise ShapeMismatch(
@@ -217,7 +308,10 @@ def run(
     gamma = instance.discount
     radius = instance.value_radius
     pair_state = instance.pair_state
+    reward = instance.reward
     averaged = mu_estimator == "averaged"
+    # The fresh estimator without a prediction has one nonzero: _LazyDual's step.
+    lazy = prediction is None and not averaged
 
     streams = make_streams(seed)
     v_stream = streams["v-side"]
@@ -229,7 +323,11 @@ def run(
     pair_cumsum = np.cumsum(np.full(num_pairs, 1.0 / num_pairs)).tolist()
 
     v = np.zeros(num_states)
-    mu = np.full(num_pairs, 1.0 / num_pairs)
+    if lazy:
+        dual = _LazyDual(num_pairs)
+    else:
+        mu = np.full(num_pairs, 1.0 / num_pairs)
+        sum_mu = np.zeros(num_pairs)
     if prediction is not None:
         E = prediction
         e_rows, e_values = _split_columns(E.csc.rows, E.csc.vals, E.csc.starts)
@@ -237,7 +335,6 @@ def run(
         g_bar = _dual_gradient(instance, v, Ev)
 
     sum_v = np.zeros(num_states)
-    sum_mu = np.zeros(num_pairs)
     v_grad_sq_sum = 0.0
     mu_dev_sq_sum = 0.0
 
@@ -259,10 +356,14 @@ def run(
 
     for t in range(1, horizon + 1):
         sum_v += v
-        sum_mu += mu
+        if lazy:
+            dual.tick()
+            pair = dual.tree.sample(v_stream)
+        else:
+            sum_mu += mu
+            pair = sample_cumulative(mu.cumsum(), v_stream)
 
         # Value side: sparse stochastic gradient, projected step on its support J.
-        pair = sample_cumulative(mu.cumsum(), v_stream)
         next_state = P.cols[sample_transition(instance, pair, v_stream, ledger)]
         init_state = sample_cumulative(q_cumsum, q_stream)
         g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
@@ -285,6 +386,8 @@ def run(
             C[slots[k2]] += 1.0
             Cv[pair2] += v[next2]
             g_mu = _averaged_gradient(instance, pair_counts, Cv, t, v)
+        elif lazy:  # fresh_mu_gradient's one nonzero
+            g = float(num_pairs * (v[pair_state[pair2]] - gamma * v[next2] - reward[pair2]))
         else:
             g_mu = fresh_mu_gradient(instance, pair2, next2, v)
 
@@ -299,18 +402,24 @@ def run(
             deviation = g_mu - g_bar
             g_bar = _dual_gradient(instance, v, Ev)
             combined = deviation + g_bar
-        else:
+        elif not lazy:
             deviation = combined = g_mu  # the predicted gradient is zero
-        mu_dev_sq_sum += float(np.abs(deviation).max()) ** 2
+        mu_dev_sq_sum += (abs(g) if lazy else float(np.abs(deviation).max())) ** 2
         if fixed_rates is not None:
             eta_mu = fixed_rates[1]
         else:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
-        mu = update_mu(mu, combined, eta_mu)
+        if lazy:
+            if eta_mu is not None:
+                dual.step(pair2, -eta_mu * g)
+            if refresh:
+                dual.rebase()
+        else:
+            mu = update_mu(mu, combined, eta_mu)
 
         if t in checkpoint_set:
             v_bar = sum_v / t
-            mu_bar = sum_mu / t
+            mu_bar = (dual.sums() if lazy else sum_mu) / t
             pol = extract_policy(instance, mu_bar)
             trace.append(
                 TracePoint(
@@ -324,4 +433,5 @@ def run(
                 )
             )
 
+    sum_mu = dual.sums() if lazy else sum_mu
     return RunOutput(sum_v / horizon, sum_mu / horizon, trace, ledger)

@@ -7,6 +7,14 @@ returns the index of a nonzero of P. Draws from known distributions (the
 initial distribution and the current dual iterate) use the same inverse-CDF
 primitive but do not count against the budget.
 
+A SumTree holds weights that change one at a time: each node is the sum of
+its two children, so setting a weight and drawing from the weights both
+walk one root-to-leaf path, O(log n). A draw descends from the root with
+x = u * total, going right past a left child whose sum is at most x, which
+picks the first index whose running sum exceeds x, as sample_cumulative's
+bisection does; rounding that carries x past the last weight clamps the
+index to the last weight, as there.
+
 Streams are named substreams of one master seed, built on a counter-based
 generator, so the draw sequence of one stream is independent of how calls
 to the other streams are interleaved. A stream draws its uniforms in blocks
@@ -72,6 +80,49 @@ def sample_cumulative(cumulative, stream: SeededStream) -> int:
     last = len(cumulative) - 1
     # Bisecting [0, last) clamps the index to the last weight.
     return bisect.bisect_right(cumulative, stream.uniform() * cumulative[last], 0, last)
+
+
+class SumTree:
+    """Binary sum tree over n nonnegative weights, held as a Python list."""
+
+    def __init__(self, weights):
+        n = len(weights)
+        size = 1 << (n - 1).bit_length()
+        nodes = np.zeros(2 * size)
+        nodes[size : size + n] = weights
+        # Node i sums nodes 2i and 2i + 1, in the order set() adds them.
+        while size > 1:
+            children = nodes[size : 2 * size]
+            nodes[size // 2 : size] = children[0::2] + children[1::2]
+            size //= 2
+        self.nodes = nodes.tolist()
+        self.size = len(self.nodes) // 2  # the first leaf's node index
+        self.last = n - 1
+
+    def weights(self) -> np.ndarray:
+        return np.array(self.nodes[self.size : self.size + self.last + 1])
+
+    def set(self, index: int, weight: float) -> None:
+        nodes = self.nodes
+        i = self.size + index
+        nodes[i] = weight
+        i >>= 1
+        while i:
+            nodes[i] = nodes[2 * i] + nodes[2 * i + 1]
+            i >>= 1
+
+    def sample(self, stream: SeededStream) -> int:
+        """Index of the first weight whose running sum exceeds u * total."""
+        nodes, size = self.nodes, self.size
+        x = stream.uniform() * nodes[1]
+        i = 1
+        while i < size:
+            i *= 2
+            left = nodes[i]
+            if x >= left:
+                x -= left
+                i += 1
+        return min(i - size, self.last)
 
 
 def sample_transition(

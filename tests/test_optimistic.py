@@ -17,6 +17,7 @@ from pdmdp.exact import occupancy_measure, policy_evaluation, value_iteration
 from pdmdp.instances import random_instance
 from pdmdp.minimax import duality_gap, exact_gradients
 from pdmdp.optimistic_pd import (
+    REFRESH_PERIOD,
     _averaged_gradient,
     _dual_gradient,
     default_checkpoints,
@@ -193,6 +194,12 @@ class TestUpdates:
         b = update_mu(mu, g + 13.0, 0.7)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
+    def test_update_mu_shifts_by_coordinates_with_mass(self):
+        # The largest exponent is at a coordinate without mass: shifting by it
+        # underflows every weight with mass.
+        out = update_mu(np.array([0.0, 1.0]), np.array([-1000.0, 0.0]), 1.0)
+        np.testing.assert_array_equal(out, [0.0, 1.0])
+
     def test_update_mu_stays_on_simplex_under_huge_gradients(self):
         mu = np.full(4, 0.25)
         out = update_mu(mu, np.array([1e4, -1e4, 0.0, 5e3]), 1.0)
@@ -308,6 +315,26 @@ class TestRun:
         )
         assert out.trace[-1].gap >= -1e-12
 
+    @pytest.mark.parametrize(
+        "rates", [(np.nan, 0.1), (0.1, np.inf), (-0.1, 0.1), (0.1, 0.0)]
+    )
+    def test_rejects_rates_that_are_not_finite_and_positive(self, ex3, rates):
+        with pytest.raises(ValueError):
+            run(ex3.instance, None, ex3.q, 10, seed=0, checkpoints=[],
+                mu_estimator="fresh", fixed_rates=rates)
+
+    @pytest.mark.parametrize("with_prediction", [True, False])
+    def test_large_fixed_dual_rate_stays_feasible(self, ex3, with_prediction):
+        # Steps of up to hundreds in the exponent leave coordinates without
+        # mass; 5000 steps cross a rebase of the one-coordinate dual step.
+        pred = ex3.inaccurate_prediction if with_prediction else None
+        out = run(ex3.instance, pred, ex3.q, 5000, seed=0, mu_estimator="fresh",
+                  fixed_rates=(0.01, 50.0))
+        for point in out.trace:
+            assert point.gap >= -1e-12
+            assert abs(point.averaged_mu.sum() - 1.0) <= 1e-12
+            assert np.all(point.averaged_mu >= 0)
+
     def test_rejects_prediction_of_wrong_shape(self, ex3):
         # Shapes (6, 4) and (5, 3) against the instance's (6, 3).
         for actions in ([2, 2, 1, 1], [2, 2, 1]):
@@ -381,6 +408,37 @@ class TestAgainstDenseReference:
             ex3.instance, pred, ex3.q, 1000, 3, checkpoints, mu_estimator, fixed_rates
         )
         assert_matches_reference(out, reference, rtol=1e-9)
+
+
+    @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001)])
+    def test_one_coordinate_dual_step_matches(self, fixed_rates):
+        # The fresh estimator without a prediction keeps mu as log weights in
+        # a sum tree with lazily added sums; five refresh periods and
+        # checkpoints on both sides of each of the first rebases.
+        inst = random_instance(5, 3, seed=4)
+        q = np.full(5, 0.2)
+        horizon = 5 * REFRESH_PERIOD + 1
+        checkpoints = {1, 2, 1000}
+        for k in (1, 2, 3):
+            checkpoints |= {k * REFRESH_PERIOD - 1, k * REFRESH_PERIOD, k * REFRESH_PERIOD + 1}
+        checkpoints.add(horizon)
+        out = run(inst, None, q, horizon, seed=9, checkpoints=checkpoints,
+                  mu_estimator="fresh", fixed_rates=fixed_rates)
+        reference = dense_reference_run(
+            inst, None, q, horizon, 9, checkpoints, "fresh", fixed_rates
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
+
+
+def test_outputs_do_not_depend_on_checkpoints(ex3):
+    # A checkpoint reads the averages without moving any state.
+    a = run_smd(ex3.instance, ex3.q, 5000, ex3.epsilon, seed=1, checkpoints=[])
+    b = run_smd(ex3.instance, ex3.q, 5000, ex3.epsilon, seed=1,
+                checkpoints=range(7, 5001, 7))
+    assert not a.trace and len(b.trace) == 714
+    assert a.averaged_v.tobytes() == b.averaged_v.tobytes()
+    assert a.averaged_mu.tobytes() == b.averaged_mu.tobytes()
+    np.testing.assert_array_equal(a.ledger.nonzero_counts, b.ledger.nonzero_counts)
 
 
 def trace_rows(out):

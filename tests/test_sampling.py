@@ -10,6 +10,7 @@ from pdmdp.sampling import (
     STREAM_IDS,
     SampleBudgetLedger,
     SeededStream,
+    SumTree,
     make_streams,
     sample_cumulative,
     sample_transition,
@@ -105,6 +106,52 @@ class TestSampleCategorical:
         stream = SeededStream(seed, "v-side")
         for _ in range(25):
             assert probs[sample_cumulative(np.cumsum(probs), stream)] > 0
+
+
+class FixedUniform:
+    """A stream stand-in that returns one uniform forever."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+class TestSumTree:
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_draws_match_sample_cumulative(self, seed, n):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) * 10.0 ** rng.integers(-3, 4)
+        weights[rng.random(n) < 0.3] = 0.0
+        weights[rng.integers(n)] = 1.0
+        tree = SumTree(weights)
+        a, b = SeededStream(seed, "v-side"), SeededStream(seed, "v-side")
+        for _ in range(25):
+            assert tree.sample(a) == sample_cumulative(np.cumsum(weights), b)
+
+    def test_set_gives_the_built_tree(self):
+        rng = np.random.default_rng(4)
+        weights = rng.random(13)
+        tree = SumTree(weights)
+        for i in rng.integers(13, size=40):
+            weights[i] = rng.random()
+            tree.set(int(i), float(weights[i]))
+        assert tree.nodes == SumTree(weights).nodes
+        np.testing.assert_array_equal(tree.weights(), weights)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25], [1.0, 0.0, 0.0], [0.2] * 5])
+    def test_clamps_to_the_last_index(self, weights):
+        # u = 1 carries x onto the total, past every weight.
+        tree = SumTree(np.array(weights))
+        want = sample_cumulative(np.cumsum(weights), FixedUniform(1.0))
+        assert tree.sample(FixedUniform(1.0)) == want == len(weights) - 1
+
+    def test_point_mass(self):
+        tree = SumTree(np.array([0.0, 0.0, 3.0, 0.0, 0.0]))
+        stream = SeededStream(1, "v-side")
+        assert all(tree.sample(stream) == 2 for _ in range(50))
 
 
 def triple_counts(ledger, instance):
