@@ -84,9 +84,9 @@ def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, n
     """(P_pi, buffer): P_pi on P's nonzeros and a buffer for P_pi.apply's out.
 
     State s's row of P_pi holds the nonzeros of its actions' rows of P,
-    weighted by pi(a|s). Both are rows of one (2, nnz) block, not two arrays:
-    freeing it lifts glibc's adaptive trim threshold past its size, which
-    saves about 590 page faults per S=1000 checkpoint.
+    weighted by pi(a|s). Both are rows of one (2, nnz) block, not two arrays,
+    so that freeing it lifts glibc's adaptive trim threshold past its size and
+    later checkpoints reuse its pages instead of faulting in fresh ones.
     """
     P = instance.transition
     block = np.empty((2, P.cols.size))

@@ -5,40 +5,17 @@ baseline. Per iteration it performs, in order:
 
   1. draw the sparse value-side stochastic gradient and take a projected
      gradient step on the value box,
-  2. draw one uniform state-action pair, fold it into the running sample
-     memory, form the dual-side stochastic gradient at the current value
-     iterate, and take an optimistic exponentiated step on the simplex.
+  2. draw one uniform state-action pair, fold it into the dual-side
+     stochastic gradient at the current value iterate, and take an
+     exponentiated step on the simplex.
 
 Each iteration consumes exactly two generative-model transition samples.
-The dual-side estimator reuses the whole sample history re-weighted at the
-current value iterate, which shrinks its variance like 1/t; the sufficient
-statistic is the count C of each triple, a vector over P's nonzeros.
-
-With the averaged estimator or a prediction, a step costs O(N), not O(N S):
-it changes at most three coordinates J of v, so the engine keeps Cv = C @ v
-(averaged estimator) and Ev = E @ v (with a prediction E) as running state.
-A sample (i, j) adds v[j] to Cv[i]; the value step adds C[:, J] @ dv_J and
-E[:, J] @ dv_J from the CSC column slices of C and E. Both are recomputed
-over their nonzeros every REFRESH_PERIOD steps, which bounds floating-point
-drift on a schedule that does not depend on the horizon, so run(T) is a
-bitwise prefix of run(T' > T). The dual gradient is then dense, and so is
-the mirror step (update_mu), its running sum and the draw from mu.
-
-The fresh estimator without a prediction, the SMD baseline, keeps neither
-product, and its dual gradient has one nonzero, so one coordinate of the
-log weights theta moves per step (_LazyDual). The weights exp(theta) sit in
-a sum tree (sampling.SumTree) whose total is the normaliser Z, so the step
-and the v-side draw from mu = exp(theta) / Z cost O(log N). The running sum
-of mu is added up lazily against a clock that gains 1 / Z each step: a
-coordinate's share of the sum is folded in only when its weight changes, or
-when a checkpoint reads the averages, which changes no state. Every
-REFRESH_PERIOD steps, and at once whenever Z leaves a factor Z_RANGE of its
-value at the last rebase, every coordinate is flushed, theta is shifted by
-log Z, and the tree and clock restart. That bounds the rounding in Z and in
-the clock at any horizon, and neither trigger depends on the horizon or the
-checkpoints, so run(T) stays a bitwise prefix of run(T' > T). The dual side
-of this step does O(N) work only then and at checkpoints; the value side's
-running sum costs O(S) per step on either path.
+The solver and its SMD baseline differ only on the dual side, so the loop
+holds one dual object, picked once from the estimator: _DenseDual for the
+history-averaged one, with or without a prediction, and _LazyDual for the
+fresh one-sample one, which takes no prediction. Neither's refreshes depend
+on the horizon or the checkpoints, so run(T) is a bitwise prefix of
+run(T' > T). The value side's running sum costs O(S) per step.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -119,25 +96,15 @@ def _averaged_gradient(instance, pair_counts, counts_v, t, v):
     return scale * (base - instance.discount * counts_v)
 
 
-def fresh_mu_gradient(instance, pair, next_state, v):
-    """Single-sample dual gradient estimate (no history averaging)."""
-    g = np.zeros(instance.num_pairs)
-    state = instance.pair_state[pair]
-    g[pair] = instance.num_pairs * (
-        v[state] - instance.discount * v[next_state] - instance.reward[pair]
-    )
-    return g
-
-
 def _dual_gradient(instance, v, next_v):
     """v_i - gamma next_v_ia - r_ia, given the expected next values next_v."""
     return v[instance.pair_state] - instance.discount * next_v - instance.reward
 
 
-def _split_columns(rows, values, pointers):
-    """Per-column views of a CSC matrix's rows and values."""
-    bounds = pointers.tolist()
-    return [[a[lo:hi] for lo, hi in zip(bounds, bounds[1:])] for a in (rows, values)]
+def _split_columns(csc, values):
+    """Per-column views of a CSC form's rows and of values in its slot order."""
+    bounds = csc.starts.tolist()
+    return [[a[lo:hi] for lo, hi in zip(bounds, bounds[1:])] for a in (csc.rows, values)]
 
 
 def _add_columns(out, rows, values, J, dv_J):
@@ -194,20 +161,95 @@ def update_mu(mu, combined_gradient, eta):
     return w / total
 
 
-class _LazyDual:
-    """mu = exp(theta) / Z under a dual gradient with one nonzero per step.
+class _DenseDual:
+    """mu as a dense vector under the history-averaged dual estimator.
 
-    tick() adds mu to the running sum: the clock gains 1 / Z, and coordinate
-    i's sum is acc[i] + w[i] * (clock - stamp[i]), w = exp(theta) the tree's
-    leaves; acc[i] takes that in whenever w[i] changes. rebase() takes every
-    coordinate in, shifts theta by log Z, rebuilds the tree and restarts the
-    clock.
+    The estimator reuses the whole sample history re-weighted at the current
+    value iterate, which shrinks its variance like 1/t; the sufficient
+    statistic is the count C of each triple, a vector over P's nonzeros (only
+    mu-side draws enter it). A step costs O(N), not O(N S): the value step
+    changes at most three coordinates J of v, so Cv = C @ v and, with a
+    prediction E, Ev = E @ v are kept as running state. A sample (i, j) adds
+    v[j] to Cv[i]; the value step adds C[:, J] @ dv_J and E[:, J] @ dv_J from
+    the CSC column slices of C and E. Both are recomputed over their
+    nonzeros every REFRESH_PERIOD steps, which bounds floating-point drift.
+    With a prediction the step is optimistic: it moves mu against
+    (g_mu - g_bar) + g_bar_next, where g_bar is the predicted gradient at the
+    value iterate the estimate g_mu was taken at and g_bar_next the one at
+    the next; without one the predicted gradient is zero. The dual gradient
+    is dense, and so are the mirror step (update_mu), the running sum of mu
+    and the draw from mu.
     """
 
-    def __init__(self, num_pairs):
-        self.theta = [0.0] * num_pairs
-        self.acc = [0.0] * num_pairs
-        self._restart(np.ones(num_pairs))
+    def __init__(self, instance, prediction, v):
+        n, P = instance.num_pairs, instance.transition
+        self.instance, self.P, self.E = instance, P, prediction
+        self.slots, self.cols = P.csc.slots, P.cols
+        self.mu, self.sum_mu = np.full(n, 1.0 / n), np.zeros(n)
+        self.pair_counts, self.Cv = np.zeros(n), np.zeros(n)
+        self.C = np.zeros(P.vals.size)  # in CSC slot order
+        self.c_rows, self.c_values = _split_columns(P.csc, self.C)
+        if prediction is not None:
+            self.e_rows, self.e_values = _split_columns(prediction.csc, prediction.csc.vals)
+            self.Ev = prediction.apply(v)
+            self.g_bar = _dual_gradient(instance, v, self.Ev)
+
+    def draw(self, stream):
+        """Add mu to the running sum and draw the v-side pair from mu."""
+        self.sum_mu += self.mu
+        return sample_cumulative(self.mu.cumsum(), stream)
+
+    def observe(self, t, pair, k, v):
+        """Fold in the t-th mu-side sample, nonzero k of P at pair, and take
+        the estimate at v; return the sup norm of its deviation from g_bar."""
+        self.pair_counts[pair] += 1.0
+        self.C[self.slots[k]] += 1.0
+        self.Cv[pair] += v[self.cols[k]]
+        g_mu = _averaged_gradient(self.instance, self.pair_counts, self.Cv, t, v)
+        self.deviation = g_mu if self.E is None else g_mu - self.g_bar
+        return float(np.abs(self.deviation).max())
+
+    def step(self, eta, v, J, dv_J, refresh):
+        """Move Cv (and Ev, g_bar) to v, changed by dv_J on J; step mu."""
+        self.Cv = (np.bincount(self.P.rows, self.C[self.slots] * v[self.cols],
+                               minlength=self.mu.size)
+                   if refresh else _add_columns(self.Cv, self.c_rows, self.c_values, J, dv_J))
+        combined = self.deviation
+        if self.E is not None:
+            self.Ev = (self.E.apply(v) if refresh
+                       else _add_columns(self.Ev, self.e_rows, self.e_values, J, dv_J))
+            self.g_bar = _dual_gradient(self.instance, v, self.Ev)
+            combined = combined + self.g_bar
+        self.mu = update_mu(self.mu, combined, eta)
+
+    def sums(self):
+        return self.sum_mu
+
+
+class _LazyDual:
+    """mu = exp(theta) / Z under the fresh estimator, which has one nonzero.
+
+    The fresh estimator takes one new sample (i, a, j) each step, so its dual
+    gradient N (v_i - gamma v_j - r_ia) e_ia moves one coordinate of the log
+    weights theta. The weights w = exp(theta) sit in a sum tree
+    (sampling.SumTree) whose total is the normaliser Z, so the step and the
+    v-side draw from mu = w / Z cost O(log N). The running sum of mu is added
+    up lazily against a clock that gains 1 / Z each draw: coordinate i's sum
+    is acc[i] + w[i] * (clock - stamp[i]), and acc[i] takes that in whenever
+    w[i] changes; a checkpoint reads the sums without changing any state.
+    rebase() takes every coordinate in, shifts theta by log Z, rebuilds the
+    tree and restarts the clock. It runs every REFRESH_PERIOD steps, and at
+    once whenever Z leaves a factor Z_RANGE of its value at the last rebase.
+    That bounds the rounding in Z and in the clock at any horizon. The dual
+    side does O(N) work only then and at checkpoints.
+    """
+
+    def __init__(self, instance):
+        self.num_pairs, self.gamma = instance.num_pairs, instance.discount
+        self.pair_state, self.reward = instance.pair_state, instance.reward
+        self.cols = instance.transition.cols
+        self.theta, self.acc = [0.0] * self.num_pairs, [0.0] * self.num_pairs
+        self._restart(np.ones(self.num_pairs))
 
     def _restart(self, weights):
         self.tree = SumTree(weights)
@@ -217,25 +259,37 @@ class _LazyDual:
         self.clock = 0.0
         self.stamp = [0.0] * len(self.theta)
 
-    def tick(self):
-        self.clock += 1.0 / self.tree.nodes[1]
-
-    def step(self, i, delta):
-        """theta[i] += delta."""
-        theta = self.theta
-        theta[i] += delta
-        if theta[i] > self.log_z_hi:  # exp(theta[i]) alone is above the range
-            self.rebase()
-            return
+    def draw(self, stream):
+        """Add mu to the running sum (tick the clock) and draw from mu."""
         tree = self.tree
-        self.acc[i] += tree.nodes[tree.size + i] * (self.clock - self.stamp[i])
-        self.stamp[i] = self.clock
-        tree.set(i, math.exp(theta[i]))
-        if not self.z_lo <= tree.nodes[1] <= self.z_hi:
+        self.clock += 1.0 / tree.nodes[1]
+        return tree.sample(stream)
+
+    def observe(self, t, pair, k, v):
+        """Take the one-sample gradient at pair, nonzero k of P; return |g|."""
+        self.pair = pair
+        self.g = g = float(self.num_pairs * (
+            v[self.pair_state[pair]] - self.gamma * v[self.cols[k]] - self.reward[pair]))
+        return abs(g)
+
+    def step(self, eta, v, J, dv_J, refresh):
+        """theta[pair] -= eta g; v does not enter."""
+        if eta is not None:
+            i, theta, tree = self.pair, self.theta, self.tree
+            theta[i] -= eta * self.g
+            if theta[i] > self.log_z_hi:  # exp(theta[i]) alone is above the range
+                self.rebase()
+            else:
+                self.acc[i] += tree.nodes[tree.size + i] * (self.clock - self.stamp[i])
+                self.stamp[i] = self.clock
+                tree.set(i, math.exp(theta[i]))
+                if not self.z_lo <= tree.nodes[1] <= self.z_hi:
+                    self.rebase()
+        if refresh:
             self.rebase()
 
     def sums(self):
-        """The running sum of mu over the ticks so far; changes no state."""
+        """The running sum of mu over the draws so far; changes no state."""
         return np.array(self.acc) + self.tree.weights() * (self.clock - np.array(self.stamp))
 
     def rebase(self):
@@ -285,14 +339,19 @@ def run(
 
     prediction=None drops the optimistic term (predicted gradient held at
     zero). mu_estimator is "averaged" (history reuse) or "fresh" (one new
-    sample each step). fixed_rates=(eta_v, eta_mu) replaces the adaptive
-    schedule; the baseline solver is exactly this engine with prediction
-    removed, fresh estimator, and fixed rates.
+    sample each step, without a prediction). fixed_rates=(eta_v, eta_mu)
+    replaces the adaptive schedule; the baseline solver is exactly this
+    engine with prediction removed, fresh estimator, and fixed rates.
     """
+    for name, value in (("horizon", horizon), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if mu_estimator not in ("averaged", "fresh"):
         raise ValueError(f"unknown mu_estimator {mu_estimator!r}")
+    if mu_estimator == "fresh" and prediction is not None:
+        raise ValueError("the fresh estimator takes no prediction")
     if fixed_rates is not None:
         for eta in fixed_rates:
             if not (0.0 < eta < math.inf):
@@ -308,10 +367,7 @@ def run(
     gamma = instance.discount
     radius = instance.value_radius
     pair_state = instance.pair_state
-    reward = instance.reward
-    averaged = mu_estimator == "averaged"
-    # The fresh estimator without a prediction has one nonzero: _LazyDual's step.
-    lazy = prediction is None and not averaged
+    P = instance.transition
 
     streams = make_streams(seed)
     v_stream = streams["v-side"]
@@ -323,103 +379,47 @@ def run(
     pair_cumsum = np.cumsum(np.full(num_pairs, 1.0 / num_pairs)).tolist()
 
     v = np.zeros(num_states)
-    if lazy:
-        dual = _LazyDual(num_pairs)
-    else:
-        mu = np.full(num_pairs, 1.0 / num_pairs)
-        sum_mu = np.zeros(num_pairs)
-    if prediction is not None:
-        E = prediction
-        e_rows, e_values = _split_columns(E.csc.rows, E.csc.vals, E.csc.starts)
-        Ev = E.apply(v)
-        g_bar = _dual_gradient(instance, v, Ev)
-
+    averaged = mu_estimator == "averaged"
+    dual = _DenseDual(instance, prediction, v) if averaged else _LazyDual(instance)
+    draw, observe, dual_step = dual.draw, dual.observe, dual.step
+    eta_v, eta_mu = (None, None) if fixed_rates is None else fixed_rates
     sum_v = np.zeros(num_states)
     v_grad_sq_sum = 0.0
     mu_dev_sq_sum = 0.0
 
-    checkpoint_set = set(checkpoints) if checkpoints is not None else set(
-        default_checkpoints(horizon)
-    )
+    checkpoint_set = set(default_checkpoints(horizon) if checkpoints is None else checkpoints)
     trace = []
     start = time.perf_counter()
 
-    # Dual-side sample memory: only mu-side draws enter these counts. C holds
-    # the count of each nonzero of P in its CSC slot; Cv = C @ v.
-    P = instance.transition
-    if averaged:
-        rows, slots = P.rows, P.csc.slots
-        pair_counts = np.zeros(num_pairs)
-        C = np.zeros(slots.size)
-        c_rows, c_values = _split_columns(P.csc.rows, C, P.csc.starts)
-        Cv = np.zeros(num_pairs)
-
     for t in range(1, horizon + 1):
         sum_v += v
-        if lazy:
-            dual.tick()
-            pair = dual.tree.sample(v_stream)
-        else:
-            sum_mu += mu
-            pair = sample_cumulative(mu.cumsum(), v_stream)
+        pair = draw(v_stream)
 
         # Value side: sparse stochastic gradient, projected step on its support J.
         next_state = P.cols[sample_transition(instance, pair, v_stream, ledger)]
         init_state = sample_cumulative(q_cumsum, q_stream)
         g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
         v_grad_sq_sum += float(g_v @ g_v)
-        if fixed_rates is not None:
-            eta_v = fixed_rates[0]
-        else:
+        if fixed_rates is None:
             eta_v = v_learning_rate(num_states, gamma, v_grad_sq_sum)
         J = g_v.nonzero()[0]
         old_v_J = v[J]
         v_J = update_v(old_v_J, g_v[J], eta_v, radius)
         dv_J = v_J - old_v_J
 
-        # Dual side: one new uniform pair, estimator at the current v.
+        # Dual side: one new uniform pair, estimator at the current v, then
+        # the step with v moved to v_next.
         pair2 = sample_cumulative(pair_cumsum, mu_stream)
         k2 = sample_transition(instance, pair2, mu_stream, ledger)
-        next2 = P.cols[k2]
-        if averaged:
-            pair_counts[pair2] += 1.0
-            C[slots[k2]] += 1.0
-            Cv[pair2] += v[next2]
-            g_mu = _averaged_gradient(instance, pair_counts, Cv, t, v)
-        elif lazy:  # fresh_mu_gradient's one nonzero
-            g = float(num_pairs * (v[pair_state[pair2]] - gamma * v[next2] - reward[pair2]))
-        else:
-            g_mu = fresh_mu_gradient(instance, pair2, next2, v)
-
-        # Move v to v_next and the running products with it.
-        v[J] = v_J
-        refresh = t % REFRESH_PERIOD == 0
-        if averaged:
-            Cv = (np.bincount(rows, C[slots] * v[P.cols], minlength=num_pairs)
-                  if refresh else _add_columns(Cv, c_rows, c_values, J, dv_J))
-        if prediction is not None:
-            Ev = E.apply(v) if refresh else _add_columns(Ev, e_rows, e_values, J, dv_J)
-            deviation = g_mu - g_bar
-            g_bar = _dual_gradient(instance, v, Ev)
-            combined = deviation + g_bar
-        elif not lazy:
-            deviation = combined = g_mu  # the predicted gradient is zero
-        mu_dev_sq_sum += (abs(g) if lazy else float(np.abs(deviation).max())) ** 2
-        if fixed_rates is not None:
-            eta_mu = fixed_rates[1]
-        else:
+        mu_dev_sq_sum += observe(t, pair2, k2, v) ** 2
+        if fixed_rates is None:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
-        if lazy:
-            if eta_mu is not None:
-                dual.step(pair2, -eta_mu * g)
-            if refresh:
-                dual.rebase()
-        else:
-            mu = update_mu(mu, combined, eta_mu)
+        v[J] = v_J
+        dual_step(eta_mu, v, J, dv_J, t % REFRESH_PERIOD == 0)
 
         if t in checkpoint_set:
             v_bar = sum_v / t
-            mu_bar = (dual.sums() if lazy else sum_mu) / t
+            mu_bar = dual.sums() / t
             pol = extract_policy(instance, mu_bar)
             trace.append(
                 TracePoint(
@@ -433,5 +433,4 @@ def run(
                 )
             )
 
-    sum_mu = dual.sums() if lazy else sum_mu
-    return RunOutput(sum_v / horizon, sum_mu / horizon, trace, ledger)
+    return RunOutput(sum_v / horizon, dual.sums() / horizon, trace, ledger)

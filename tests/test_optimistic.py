@@ -22,7 +22,6 @@ from pdmdp.optimistic_pd import (
     _dual_gradient,
     default_checkpoints,
     extract_policy,
-    fresh_mu_gradient,
     mu_learning_rate,
     run,
     sampled_v_gradient,
@@ -123,13 +122,6 @@ class TestGradientEstimators:
         # All three indices equal: coefficients telescope to zero.
         g = sampled_v_gradient(4, 0.3, 1, 1, 1)
         np.testing.assert_allclose(g, 0.0)
-
-    def test_fresh_mu_gradient_example(self, ex3):
-        # Pair 0 is (state 0, stay), reward 0.001; v constant at 2 gives
-        # 6 * (2 - 0.5 * 2 - 0.001).
-        g = fresh_mu_gradient(ex3.instance, 0, 0, np.full(3, 2.0))
-        assert g[0] == pytest.approx(5.994)
-        np.testing.assert_allclose(g[1:], 0.0)
 
     def test_averaged_estimator_exact_at_expected_counts(self, ex3):
         # Counts matching t * uniform(pair) * P(next | pair) reproduce the
@@ -326,10 +318,15 @@ class TestRun:
     @pytest.mark.parametrize("with_prediction", [True, False])
     def test_large_fixed_dual_rate_stays_feasible(self, ex3, with_prediction):
         # Steps of up to hundreds in the exponent leave coordinates without
-        # mass; 5000 steps cross a rebase of the one-coordinate dual step.
-        pred = ex3.inaccurate_prediction if with_prediction else None
-        out = run(ex3.instance, pred, ex3.q, 5000, seed=0, mu_estimator="fresh",
-                  fixed_rates=(0.01, 50.0))
+        # mass. With the prediction, most of the 5000 dense steps take
+        # update_mu's shift by the coordinates with mass; without one, the
+        # 5000 steps cross a rebase of the one-coordinate dual step.
+        if with_prediction:
+            pred, estimator, eta_mu = ex3.inaccurate_prediction, "averaged", 200.0
+        else:
+            pred, estimator, eta_mu = None, "fresh", 50.0
+        out = run(ex3.instance, pred, ex3.q, 5000, seed=0, mu_estimator=estimator,
+                  fixed_rates=(0.01, eta_mu))
         for point in out.trace:
             assert point.gap >= -1e-12
             assert abs(point.averaged_mu.sum() - 1.0) <= 1e-12
@@ -349,6 +346,24 @@ class TestRun:
             run(ex3.instance, None, ex3.q, 10, seed=0, mu_estimator="bogus")
         with pytest.raises(NotStochastic):
             run(ex3.instance, None, [np.nan, 0.5, 0.5], 10, seed=0)
+
+    def test_rejects_fresh_estimator_with_prediction(self, ex3):
+        with pytest.raises(ValueError, match="fresh estimator"):
+            run(ex3.instance, ex3.accurate_prediction, ex3.q, 10, seed=0, mu_estimator="fresh")
+
+    @pytest.mark.parametrize("name", ["seed", "horizon"])
+    @pytest.mark.parametrize("value", [True, 1.5, 2.0, None])
+    def test_rejects_seeds_and_horizons_that_are_not_integers(self, ex3, name, value):
+        # int() would take 1.5 and True as seed 1, and range() a True horizon.
+        args = {"horizon": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            run(ex3.instance, None, ex3.q, args["horizon"], args["seed"], checkpoints=[])
+
+    def test_accepts_numpy_integer_seeds_and_horizons(self, ex3):
+        a = run(ex3.instance, None, ex3.q, np.int64(20), np.int32(1), checkpoints=[20])
+        b = run(ex3.instance, None, ex3.q, 20, 1, checkpoints=[20])
+        assert a.averaged_mu.tobytes() == b.averaged_mu.tobytes()
+        assert a.trace[0].gap == b.trace[0].gap
 
     def test_gap_shrinks_on_easy_instance(self):
         # Two states, one action each; the saddle point is easy to find.
@@ -394,8 +409,10 @@ class TestAgainstDenseReference:
         )
         assert_matches_reference(out, reference, rtol=1e-9)
 
-    @pytest.mark.parametrize("with_prediction", [True, False])
-    @pytest.mark.parametrize("mu_estimator", ["averaged", "fresh"])
+    @pytest.mark.parametrize(
+        "mu_estimator, with_prediction",
+        [("averaged", True), ("averaged", False), ("fresh", False)],
+    )
     @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001)])
     def test_every_engine_variant_matches(
         self, ex3, with_prediction, mu_estimator, fixed_rates
@@ -430,11 +447,21 @@ class TestAgainstDenseReference:
         assert_matches_reference(out, reference, rtol=1e-9)
 
 
-def test_outputs_do_not_depend_on_checkpoints(ex3):
+def three_state_run(ex3, solver, horizon, seed, checkpoints=None):
+    """SMD, or the averaged estimator with the accurate ("optimistic"), the
+    inaccurate or no prediction."""
+    if solver == "smd":
+        return run_smd(ex3.instance, ex3.q, horizon, ex3.epsilon, seed, checkpoints)
+    prediction = {"optimistic": ex3.accurate_prediction,
+                  "inaccurate": ex3.inaccurate_prediction, "none": None}[solver]
+    return run(ex3.instance, prediction, ex3.q, horizon, seed, checkpoints)
+
+
+@pytest.mark.parametrize("solver", ["smd", "optimistic", "inaccurate", "none"])
+def test_outputs_do_not_depend_on_checkpoints(ex3, solver):
     # A checkpoint reads the averages without moving any state.
-    a = run_smd(ex3.instance, ex3.q, 5000, ex3.epsilon, seed=1, checkpoints=[])
-    b = run_smd(ex3.instance, ex3.q, 5000, ex3.epsilon, seed=1,
-                checkpoints=range(7, 5001, 7))
+    a = three_state_run(ex3, solver, 5000, 1, checkpoints=[])
+    b = three_state_run(ex3, solver, 5000, 1, checkpoints=range(7, 5001, 7))
     assert not a.trace and len(b.trace) == 714
     assert a.averaged_v.tobytes() == b.averaged_v.tobytes()
     assert a.averaged_mu.tobytes() == b.averaged_mu.tobytes()
@@ -449,14 +476,24 @@ def trace_rows(out):
     }
 
 
-@pytest.mark.parametrize("solver", ["optimistic", "smd"])
-def test_short_run_is_a_bitwise_prefix_of_a_long_run(ex3, solver):
+@pytest.mark.parametrize(
+    "solver, horizons",
+    [
+        pytest.param("optimistic", (100, 1600), id="optimistic"),
+        pytest.param("smd", (100, 1600), id="smd"),
+        pytest.param("inaccurate", (100, 1600), id="inaccurate"),
+        pytest.param("none", (100, 1600), id="none"),
+        # Across the first refresh of Cv and Ev, which both runs take.
+        pytest.param("inaccurate", (4100, 4500), id="inaccurate-refresh"),
+    ],
+)
+def test_short_run_is_a_bitwise_prefix_of_a_long_run(ex3, solver, horizons):
     def solve(horizon):
-        if solver == "smd":
-            return run_smd(ex3.instance, ex3.q, horizon, ex3.epsilon, seed=8)
-        return run(ex3.instance, ex3.accurate_prediction, ex3.q, horizon, seed=8)
+        extra = {REFRESH_PERIOD - 1, REFRESH_PERIOD, REFRESH_PERIOD + 1, horizons[0]}
+        checkpoints = set(default_checkpoints(horizon)) | {c for c in extra if c <= horizon}
+        return trace_rows(three_state_run(ex3, solver, horizon, 8, checkpoints))
 
-    short, long = trace_rows(solve(100)), trace_rows(solve(1600))
+    short, long = solve(horizons[0]), solve(horizons[1])
     shared = set(short) & set(long)
     assert len(shared) >= 10
     assert {step: short[step] for step in shared} == {step: long[step] for step in shared}
