@@ -257,16 +257,21 @@ def write_csv(path, configs, rows) -> None:
 
 
 def read_csv(path):
-    """Parse a trace CSV back into typed row tuples (header ignored)."""
-    rows = []
+    """Parse a trace CSV back into typed row tuples.
+
+    The first line that is neither blank nor a comment is the column header;
+    every later one is a data row, whatever its label.
+    """
+    rows, header = [], None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if parts[0] == "algorithm":
-                if parts != CSV_COLUMNS:
+            if header is None:
+                header = parts
+                if header != CSV_COLUMNS:
                     raise DmdpError("unexpected CSV column layout")
                 continue
             if len(parts) != len(CSV_COLUMNS):

@@ -19,7 +19,8 @@ run(T' > T). The value side's running sum costs O(S) per step.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
-every deviation from the predicted gradient was), so the update is a no-op.
+every deviation from the predicted gradient was), so the rate is 0.0, a
+no-op step.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .core import (
     CsrMatrix,
     DmdpInstance,
+    NotStochastic,
     Policy,
     ShapeMismatch,
     build_policy,
@@ -115,9 +117,9 @@ def _add_columns(out, rows, values, J, dv_J):
 
 
 def v_learning_rate(num_states, gamma, grad_sq_sum):
-    """Adaptive value-side rate; None signals a no-op update."""
+    """Adaptive value-side rate; 0.0, a no-op step, while every gradient was zero."""
     if grad_sq_sum <= 0.0:
-        return None
+        return 0.0
     return (
         (math.sqrt(2.0) / 2.0)
         * math.sqrt(num_states)
@@ -126,39 +128,15 @@ def v_learning_rate(num_states, gamma, grad_sq_sum):
 
 
 def mu_learning_rate(num_pairs, dev_sq_sum):
-    """Adaptive dual-side rate; None signals a no-op update."""
+    """Adaptive dual-side rate; 0.0, a no-op step, while every deviation was zero."""
     if dev_sq_sum <= 0.0:
-        return None
+        return 0.0
     return (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(num_pairs)) / math.sqrt(dev_sq_sum)
 
 
 def update_v(v, gradient, eta, radius):
     """Projected gradient step: clamp each coordinate to [-radius, radius]."""
-    if eta is None:
-        return v.copy()
     return np.minimum(np.maximum(v - eta * gradient, -radius), radius)
-
-
-def update_mu(mu, combined_gradient, eta):
-    """Exponentiated step on the simplex, stabilized by max-subtraction.
-
-    If the largest exponent belongs to coordinates without mass, every
-    weight can underflow; only then is the shift the largest exponent among
-    the coordinates with mass.
-    """
-    if eta is None or eta == 0.0:
-        return mu.copy()
-    exponent = -eta * combined_gradient
-    exponent -= exponent.max()
-    w = mu * np.exp(exponent)
-    total = w.sum()
-    if not total > 0.0:
-        mass = mu > 0.0
-        exponent = exponent[mass]
-        w = np.zeros_like(mu)
-        w[mass] = mu[mass] * np.exp(exponent - exponent.max())
-        total = w.sum()
-    return w / total
 
 
 class _DenseDual:
@@ -176,16 +154,18 @@ class _DenseDual:
     With a prediction the step is optimistic: it moves mu against
     (g_mu - g_bar) + g_bar_next, where g_bar is the predicted gradient at the
     value iterate the estimate g_mu was taken at and g_bar_next the one at
-    the next; without one the predicted gradient is zero. The dual gradient
-    is dense, and so are the mirror step (update_mu), the running sum of mu
-    and the draw from mu.
+    the next; without one the predicted gradient is zero. As in _LazyDual,
+    mu is held as log weights theta and the mirror step is theta -= eta g,
+    so a coordinate whose weight underflows to 0 keeps its log weight and
+    can come back. The dual gradient is dense, and so are the step, the
+    running sum of mu and the draw from mu.
     """
 
     def __init__(self, instance, prediction, v):
         n, P = instance.num_pairs, instance.transition
         self.instance, self.P, self.E = instance, P, prediction
         self.slots, self.cols = P.csc.slots, P.cols
-        self.mu, self.sum_mu = np.full(n, 1.0 / n), np.zeros(n)
+        self.theta, self.mu, self.sum_mu = np.zeros(n), np.full(n, 1.0 / n), np.zeros(n)
         self.pair_counts, self.Cv = np.zeros(n), np.zeros(n)
         self.C = np.zeros(P.vals.size)  # in CSC slot order
         self.c_rows, self.c_values = _split_columns(P.csc, self.C)
@@ -220,7 +200,10 @@ class _DenseDual:
                        else _add_columns(self.Ev, self.e_rows, self.e_values, J, dv_J))
             self.g_bar = _dual_gradient(self.instance, v, self.Ev)
             combined = combined + self.g_bar
-        self.mu = update_mu(self.mu, combined, eta)
+        self.theta -= eta * combined
+        self.theta -= self.theta.max()
+        w = np.exp(self.theta)
+        self.mu = w / w.sum()
 
     def sums(self):
         return self.sum_mu
@@ -274,7 +257,7 @@ class _LazyDual:
 
     def step(self, eta, v, J, dv_J, refresh):
         """theta[pair] -= eta g; v does not enter."""
-        if eta is not None:
+        if eta:
             i, theta, tree = self.pair, self.theta, self.tree
             theta[i] -= eta * self.g
             if theta[i] > self.log_z_hi:  # exp(theta[i]) alone is above the range
@@ -304,9 +287,14 @@ class _LazyDual:
 def extract_policy(instance: DmdpInstance, mu_bar) -> Policy:
     """Per-state renormalization of an occupancy vector into a policy.
 
+    The entries must be finite and nonnegative; their sum need not be 1.
     States carrying zero occupancy mass fall back to uniform over actions.
     """
     mu_bar = np.asarray(mu_bar, dtype=float)
+    if mu_bar.shape != (instance.num_pairs,):
+        raise ShapeMismatch(f"mu_bar must have length {instance.num_pairs}, got {mu_bar.shape}")
+    if not np.all((mu_bar >= 0.0) & (mu_bar < math.inf)):
+        raise NotStochastic("mu_bar entries must be finite and nonnegative")
     mass = np.add.reduceat(mu_bar, instance.state_offsets)[instance.pair_state]
     uniform = 1.0 / np.array(instance.actions_per_state)[instance.pair_state]
     probs = np.divide(mu_bar, mass, out=uniform, where=mass > 0.0)
@@ -382,7 +370,7 @@ def run(
     averaged = mu_estimator == "averaged"
     dual = _DenseDual(instance, prediction, v) if averaged else _LazyDual(instance)
     draw, observe, dual_step = dual.draw, dual.observe, dual.step
-    eta_v, eta_mu = (None, None) if fixed_rates is None else fixed_rates
+    eta_v, eta_mu = fixed_rates or (0.0, 0.0)
     sum_v = np.zeros(num_states)
     v_grad_sq_sum = 0.0
     mu_dev_sq_sum = 0.0

@@ -576,6 +576,15 @@ class TestFiguresCommand:
         exits_2_with_one_line(argv, capsys, "error: series 'smd' overflows at horizon 4")
         assert not out_dir.exists()
 
+    def test_series_labelled_like_the_header_round_trips(self, tmp_path, capsys):
+        # Only the first non-comment line is the header, whatever a row's label.
+        cfg = write_config(tmp_path / "cfg.json", label="algorithm", horizons=[20])
+        csv, out_dir = tmp_path / "trace.csv", tmp_path / "figs"
+        assert main(["run", "--config", str(cfg), "--out", str(csv)]) == 0
+        assert main(["figures", "--csv", str(csv), "--out", str(out_dir)]) == 0
+        gap = (out_dir / "algorithm_gap.dat").read_text().split()
+        assert gap[0] == "20"
+
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("# schema_version=1\n" + ",".join(bench.CSV_COLUMNS) + "\n")

@@ -19,13 +19,13 @@ from pdmdp.minimax import duality_gap, exact_gradients
 from pdmdp.optimistic_pd import (
     REFRESH_PERIOD,
     _averaged_gradient,
+    _DenseDual,
     _dual_gradient,
     default_checkpoints,
     extract_policy,
     mu_learning_rate,
     run,
     sampled_v_gradient,
-    update_mu,
     update_v,
     v_learning_rate,
 )
@@ -78,7 +78,7 @@ def dense_reference_run(
         np.add.at(g_v, [init, nxt, pair_state[pair]], [1.0 - gamma, gamma, -1.0])
         v_sq += float(g_v @ g_v)
         eta_v = fixed_rates[0] if fixed_rates else v_learning_rate(s, gamma, v_sq)
-        v_next = v if eta_v is None else np.clip(v - eta_v * g_v, -radius, radius)
+        v_next = np.clip(v - eta_v * g_v, -radius, radius)
         pair2 = checked_draw(np.full(n, 1.0 / n), streams["mu-side"])
         nxt2 = checked_draw(P[pair2], streams["mu-side"])
         pair_counts[pair2] += 1
@@ -92,7 +92,7 @@ def dense_reference_run(
         deviation = g_mu - g_bar
         mu_sq += float(np.abs(deviation).max()) ** 2
         eta_mu = fixed_rates[1] if fixed_rates else mu_learning_rate(n, mu_sq)
-        if eta_mu:  # None or zero leaves mu where it is
+        if eta_mu:  # a zero rate leaves mu where it is
             combined = deviation + g_bar_next
             w = mu * np.exp(-eta_mu * (combined - combined.min()))
             mu = w / w.sum()
@@ -149,8 +149,8 @@ class TestLearningRates:
         assert v_learning_rate(3, 0.5, 1.5) == pytest.approx(2.0)
 
     def test_zero_denominator_sentinel(self):
-        assert v_learning_rate(3, 0.5, 0.0) is None
-        assert mu_learning_rate(6, 0.0) is None
+        assert v_learning_rate(3, 0.5, 0.0) == 0.0
+        assert mu_learning_rate(6, 0.0) == 0.0
 
     def test_monotone_in_accumulated_norms(self):
         v_rates = [v_learning_rate(3, 0.9, s) for s in (0.5, 1.0, 4.0, 100.0)]
@@ -164,40 +164,57 @@ class TestLearningRates:
         )
 
 
+def dense_dual(ex3):
+    return _DenseDual(ex3.instance, None, np.zeros(3))
+
+
+def dense_step(dual, deviation, eta):
+    """One _DenseDual step on a set deviation, v held at zero (J empty)."""
+    dual.deviation = np.asarray(deviation, dtype=float)
+    dual.step(eta, np.zeros(3), np.array([], dtype=np.intp), np.array([]), False)
+    return dual.mu
+
+
 class TestUpdates:
+    """update_v, and _DenseDual's step on mu (log weights, no prediction)."""
+
     def test_update_v_clamps(self):
         v = update_v(np.zeros(3), np.array([0.5, -1.0, 0.5]), 2.0, 2.0)
         np.testing.assert_allclose(v, [-1.0, 2.0, -1.0])
 
-    def test_update_v_none_is_noop_copy(self):
+    def test_update_v_zero_rate_is_noop_copy(self):
         v = np.ones(2)
-        out = update_v(v, np.array([5.0, 5.0]), None, 2.0)
+        out = update_v(v, np.array([5.0, 5.0]), 0.0, 2.0)
         np.testing.assert_array_equal(out, v)
         assert out is not v
 
-    def test_update_mu_frozen_example(self):
-        mu = update_mu(np.array([0.5, 0.5]), np.array([0.0, np.log(4.0)]), 1.0)
-        np.testing.assert_allclose(mu, [0.8, 0.2])
+    def test_update_mu_frozen_example(self, ex3):
+        mu = dense_step(dense_dual(ex3), [0.0] + [np.log(4.0)] * 5, 1.0)
+        np.testing.assert_allclose(mu, [4 / 9] + [1 / 9] * 5)
 
-    def test_update_mu_invariant_to_constant_shift(self):
-        mu = np.array([0.3, 0.3, 0.4])
-        g = np.array([1.0, -2.0, 0.5])
-        a = update_mu(mu, g, 0.7)
-        b = update_mu(mu, g + 13.0, 0.7)
+    def test_update_mu_invariant_to_constant_shift(self, ex3):
+        g = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
+        a = dense_step(dense_dual(ex3), g, 0.7)
+        b = dense_step(dense_dual(ex3), g + 13.0, 0.7)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
-    def test_update_mu_shifts_by_coordinates_with_mass(self):
-        # The largest exponent is at a coordinate without mass: shifting by it
-        # underflows every weight with mass.
-        out = update_mu(np.array([0.0, 1.0]), np.array([-1000.0, 0.0]), 1.0)
-        np.testing.assert_array_equal(out, [0.0, 1.0])
-
-    def test_update_mu_stays_on_simplex_under_huge_gradients(self):
-        mu = np.full(4, 0.25)
-        out = update_mu(mu, np.array([1e4, -1e4, 0.0, 5e3]), 1.0)
+    def test_update_mu_stays_on_simplex_under_huge_gradients(self, ex3):
+        out = dense_step(dense_dual(ex3), [1e4, -1e4, 0.0, 5e3, -5e3, 1e4], 1.0)
         assert out.sum() == pytest.approx(1.0)
         assert np.all(out >= 0)
         assert np.all(np.isfinite(out))
+
+    def test_zero_rate_is_a_bitwise_noop(self, ex3):
+        dual = dense_dual(ex3)
+        before = dense_step(dual, [1.0, -2.0, 0.5, 0.0, 3.0, -1.0], 0.7).copy()
+        after = dense_step(dual, [5.0, 0.0, -5.0, 1.0, 2.0, 3.0], 0.0)
+        assert after.tobytes() == before.tobytes()
+
+    def test_underflowed_coordinate_comes_back(self, ex3):
+        # exp(-2000) underflows, so mu[0] is exactly 0; its log weight is kept.
+        dual = dense_dual(ex3)
+        assert dense_step(dual, [2000.0, 0, 0, 0, 0, 0], 1.0)[0] == 0.0
+        assert dense_step(dual, [-2001.0, 0, 0, 0, 0, 0], 1.0)[0] > 0.0
 
 
 def loop_extract_policy(instance, mu_bar):
@@ -226,6 +243,18 @@ class TestExtractPolicy:
         np.testing.assert_array_equal(
             extract_policy(inst, mu).probs, loop_extract_policy(inst, mu).probs
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_rejects_entries_that_are_not_finite_and_nonnegative(self, ex3, bad):
+        mu = np.full(6, 1 / 6)
+        mu[3] = bad
+        with pytest.raises(NotStochastic):
+            extract_policy(ex3.instance, mu)
+
+    @pytest.mark.parametrize("size", [2, 7])
+    def test_rejects_wrong_length(self, ex3, size):
+        with pytest.raises(ShapeMismatch):
+            extract_policy(ex3.instance, np.full(size, 1 / size))
 
     def test_zero_mass_state_uniform_fallback(self, ex3):
         mu = np.array([0.0, 0.0, 0.25, 0.25, 0.3, 0.2])
@@ -315,22 +344,31 @@ class TestRun:
             run(ex3.instance, None, ex3.q, 10, seed=0, checkpoints=[],
                 mu_estimator="fresh", fixed_rates=rates)
 
-    @pytest.mark.parametrize("with_prediction", [True, False])
-    def test_large_fixed_dual_rate_stays_feasible(self, ex3, with_prediction):
-        # Steps of up to hundreds in the exponent leave coordinates without
-        # mass. With the prediction, most of the 5000 dense steps take
-        # update_mu's shift by the coordinates with mass; without one, the
-        # 5000 steps cross a rebase of the one-coordinate dual step.
-        if with_prediction:
-            pred, estimator, eta_mu = ex3.inaccurate_prediction, "averaged", 200.0
-        else:
-            pred, estimator, eta_mu = None, "fresh", 50.0
+    @pytest.mark.parametrize(
+        "dense, prediction",
+        [
+            pytest.param(True, "accurate", id="True-accurate"),
+            pytest.param(True, "inaccurate", id="True-inaccurate"),
+            pytest.param(True, "none", id="True-none"),
+            pytest.param(False, "none", id="False"),
+        ],
+    )
+    def test_large_fixed_dual_rate_stays_feasible(self, ex3, dense, prediction):
+        # Steps of up to hundreds in the exponent send coordinates of mu to
+        # exactly 0. The dense step keeps their log weights, so they come back
+        # and the gap still closes; the 5000 one-coordinate steps cross a
+        # rebase.
+        pred = {"accurate": ex3.accurate_prediction,
+                "inaccurate": ex3.inaccurate_prediction, "none": None}[prediction]
+        estimator, eta_mu = ("averaged", 200.0) if dense else ("fresh", 50.0)
         out = run(ex3.instance, pred, ex3.q, 5000, seed=0, mu_estimator=estimator,
                   fixed_rates=(0.01, eta_mu))
         for point in out.trace:
             assert point.gap >= -1e-12
             assert abs(point.averaged_mu.sum() - 1.0) <= 1e-12
             assert np.all(point.averaged_mu >= 0)
+        if dense:
+            assert out.trace[-1].gap < 0.5
 
     def test_rejects_prediction_of_wrong_shape(self, ex3):
         # Shapes (6, 4) and (5, 3) against the instance's (6, 3).
