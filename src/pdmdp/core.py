@@ -350,8 +350,9 @@ def prediction_error(instance: DmdpInstance, prediction: CsrMatrix) -> float:
     A pseudometric on row-stochastic matrices with values in [0, 2], summed
     per row over the union of the two supports.
     """
-    if prediction.shape != instance.transition.shape:
-        raise ShapeMismatch("prediction shape does not match transition shape")
+    if not (isinstance(prediction, CsrMatrix) and prediction.shape == instance.transition.shape):
+        raise ShapeMismatch("prediction must be a CsrMatrix of the transition's shape, "
+                            "as build_prediction returns")
     P, E = instance.transition, prediction
     p_keys, e_keys = (M.rows * M.shape[1] + M.cols for M in (P, E))
     at = np.minimum(np.searchsorted(p_keys, e_keys), p_keys.size - 1)

@@ -17,6 +17,7 @@ from .core import (
     CsrMatrix,
     DmdpInstance,
     Policy,
+    ShapeMismatch,
     SingularSystem,
     check_distribution,
     deterministic_policy,
@@ -88,6 +89,9 @@ def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, n
     so that freeing it lifts glibc's adaptive trim threshold past its size and
     later checkpoints reuse its pages instead of faulting in fresh ones.
     """
+    if policy.probs.shape != (instance.num_pairs,):
+        raise ShapeMismatch(f"policy must have length {instance.num_pairs}, "
+                            f"got {policy.probs.shape}")
     P = instance.transition
     block = np.empty((2, P.cols.size))
     np.take(policy.probs, P.rows, out=block[0], mode="clip")  # "raise" would buffer

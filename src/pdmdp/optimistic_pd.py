@@ -3,8 +3,8 @@
 One engine drives both the prediction-augmented solver and the fixed-rate
 baseline. Per iteration it performs, in order:
 
-  1. draw the sparse value-side stochastic gradient and take a projected
-     gradient step on the value box,
+  1. draw the value-side stochastic gradient, nonzero on at most three
+     states, and take a projected gradient step on those coordinates of v,
   2. draw one uniform state-action pair, fold it into the dual-side
      stochastic gradient at the current value iterate, and take an
      exponentiated step on the simplex.
@@ -15,7 +15,8 @@ holds one dual object, picked once from the estimator: _DenseDual for the
 history-averaged one, with or without a prediction, and _LazyDual for the
 fresh one-sample one, which takes no prediction. Neither's refreshes depend
 on the horizon or the checkpoints, so run(T) is a bitwise prefix of
-run(T' > T). The value side's running sum costs O(S) per step.
+run(T' > T). The value step works in Python floats on its at most three
+coordinates; the running sum of v is the value side's one O(S) pass per step.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -77,15 +78,6 @@ class RunOutput:
     ledger: SampleBudgetLedger
 
 
-def sampled_v_gradient(num_states, gamma, init_state, next_state, state):
-    """(1 - gamma) e_init + gamma e_next - e_state, at most 3-sparse."""
-    g = np.zeros(num_states)
-    g[init_state] += 1.0 - gamma
-    g[next_state] += gamma
-    g[state] -= 1.0
-    return g
-
-
 def _averaged_gradient(instance, pair_counts, counts_v, t, v):
     """History-averaged dual gradient estimate at the current value vector.
 
@@ -111,7 +103,7 @@ def _split_columns(csc, values):
 
 def _add_columns(out, rows, values, J, dv_J):
     """out += M[:, J] @ dv_J in place, M given by per-column rows and values."""
-    for j, dv in zip(J.tolist(), dv_J.tolist()):
+    for j, dv in zip(J, dv_J):
         out[rows[j]] += values[j] * dv
     return out
 
@@ -132,11 +124,6 @@ def mu_learning_rate(num_pairs, dev_sq_sum):
     if dev_sq_sum <= 0.0:
         return 0.0
     return (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(num_pairs)) / math.sqrt(dev_sq_sum)
-
-
-def update_v(v, gradient, eta, radius):
-    """Projected gradient step: clamp each coordinate to [-radius, radius]."""
-    return np.minimum(np.maximum(v - eta * gradient, -radius), radius)
 
 
 class _DenseDual:
@@ -345,17 +332,17 @@ def run(
             if not (0.0 < eta < math.inf):
                 raise ValueError(f"fixed rates must be finite and positive, got {eta!r}")
     q = check_distribution(q, instance.num_states, "q")
-    if prediction is not None and prediction.shape != instance.transition.shape:
-        raise ShapeMismatch(
-            f"prediction must be {instance.transition.shape}, got {prediction.shape}"
-        )
+    if prediction is not None and not (isinstance(prediction, CsrMatrix)
+                                       and prediction.shape == instance.transition.shape):
+        raise ShapeMismatch("prediction must be a CsrMatrix of shape "
+                            f"{instance.transition.shape}, as build_prediction returns")
 
     num_states = instance.num_states
     num_pairs = instance.num_pairs
     gamma = instance.discount
     radius = instance.value_radius
     pair_state = instance.pair_state
-    P = instance.transition
+    cols = instance.transition.cols
 
     streams = make_streams(seed)
     v_stream = streams["v-side"]
@@ -383,17 +370,21 @@ def run(
         sum_v += v
         pair = draw(v_stream)
 
-        # Value side: sparse stochastic gradient, projected step on its support J.
-        next_state = P.cols[sample_transition(instance, pair, v_stream, ledger)]
+        # Value side: (1 - gamma) e_init + gamma e_next - e_state on its support J,
+        # ascending; one rounding (fsum) for its squared norm; a step on J.
+        next_state = cols.item(sample_transition(instance, pair, v_stream, ledger))
         init_state = sample_cumulative(q_cumsum, q_stream)
-        g_v = sampled_v_gradient(num_states, gamma, init_state, next_state, pair_state[pair])
-        v_grad_sq_sum += float(g_v @ g_v)
+        state = pair_state.item(pair)
+        g = {init_state: 1.0 - gamma}
+        g[next_state] = g.get(next_state, 0.0) + gamma
+        g[state] = g.get(state, 0.0) - 1.0
+        J = sorted(j for j in g if g[j])
+        v_grad_sq_sum += math.fsum([g[j] * g[j] for j in J])
         if fixed_rates is None:
             eta_v = v_learning_rate(num_states, gamma, v_grad_sq_sum)
-        J = g_v.nonzero()[0]
-        old_v_J = v[J]
-        v_J = update_v(old_v_J, g_v[J], eta_v, radius)
-        dv_J = v_J - old_v_J
+        old_v_J = [v.item(j) for j in J]
+        v_J = [min(max(x - eta_v * g[j], -radius), radius) for j, x in zip(J, old_v_J)]
+        dv_J = [x - y for x, y in zip(v_J, old_v_J)]
 
         # Dual side: one new uniform pair, estimator at the current v, then
         # the step with v moved to v_next.
@@ -402,7 +393,8 @@ def run(
         mu_dev_sq_sum += observe(t, pair2, k2, v) ** 2
         if fixed_rates is None:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
-        v[J] = v_J
+        for j, x in zip(J, v_J):
+            v[j] = x
         dual_step(eta_mu, v, J, dv_J, t % REFRESH_PERIOD == 0)
 
         if t in checkpoint_set:

@@ -270,6 +270,12 @@ class TestPredictionError:
         pred_p = build_prediction(inst_b, inst.transition)
         assert prediction_error(inst_b, pred_p) == pytest.approx(d_pa)
 
+    @pytest.mark.parametrize("kind", ["ndarray", "list"])
+    def test_rejects_prediction_that_is_not_a_csr_matrix(self, ex3, kind):
+        dense = np.asarray(ex3.accurate_prediction)
+        bad = dense if kind == "ndarray" else dense.tolist()
+        with pytest.raises(ShapeMismatch, match="build_prediction"):
+            prediction_error(ex3.instance, bad)
 
     def test_accurate_prediction_is_exact(self):
         inst = random_instance(1000, 4, sparsity=0.05)

@@ -10,6 +10,7 @@ from pdmdp import bench, exact, minimax, optimistic_pd
 from pdmdp.bench import CSV_COLUMNS
 from pdmdp.core import (
     CsrMatrix,
+    ShapeMismatch,
     SingularSystem,
     build_instance,
     build_policy,
@@ -139,6 +140,21 @@ class TestOccupancyMeasure:
         assert float(mu @ inst.reward) == pytest.approx(
             (1 - inst.discount) * float(q @ sol.optimal_value), abs=1e-8
         )
+
+
+@pytest.mark.parametrize("size", [2, 12])
+@pytest.mark.parametrize("states", [3, exact._ITER_MIN_STATES], ids=["lu", "iterative"])
+def test_policy_of_wrong_length_rejected(ex3, states, size):
+    # The length-2 policy of a two-state instance and the length-12 one of a
+    # four-state, three-action instance, on the LU and the iterative path.
+    inst = ex3.instance if states == 3 else random_instance(states, 1, sparsity=0.05, seed=3)
+    other = random_instance(2, 1, seed=1) if size == 2 else random_instance(4, 3, seed=1)
+    policy = deterministic_policy(other, [0] * other.num_states)
+    q = np.full(inst.num_states, 1 / inst.num_states)
+    with pytest.raises(ShapeMismatch, match="policy must have length"):
+        policy_evaluation(inst, policy)
+    with pytest.raises(ShapeMismatch, match="policy must have length"):
+        occupancy_measure(inst, policy, q)
 
 
 class TestBellmanResidual:

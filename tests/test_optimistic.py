@@ -25,8 +25,6 @@ from pdmdp.optimistic_pd import (
     extract_policy,
     mu_learning_rate,
     run,
-    sampled_v_gradient,
-    update_v,
     v_learning_rate,
 )
 from pdmdp.sampling import make_streams
@@ -114,15 +112,6 @@ def assert_matches_reference(out, reference, rtol):
 
 
 class TestGradientEstimators:
-    def test_sampled_v_gradient_sparsity(self):
-        g = sampled_v_gradient(3, 0.5, 0, 1, 2)
-        np.testing.assert_allclose(g, [0.5, 0.5, -1.0])
-
-    def test_sampled_v_gradient_collapsed(self):
-        # All three indices equal: coefficients telescope to zero.
-        g = sampled_v_gradient(4, 0.3, 1, 1, 1)
-        np.testing.assert_allclose(g, 0.0)
-
     def test_averaged_estimator_exact_at_expected_counts(self, ex3):
         # Counts matching t * uniform(pair) * P(next | pair) reproduce the
         # exact dual gradient with no noise.
@@ -171,22 +160,12 @@ def dense_dual(ex3):
 def dense_step(dual, deviation, eta):
     """One _DenseDual step on a set deviation, v held at zero (J empty)."""
     dual.deviation = np.asarray(deviation, dtype=float)
-    dual.step(eta, np.zeros(3), np.array([], dtype=np.intp), np.array([]), False)
+    dual.step(eta, np.zeros(3), [], [], False)
     return dual.mu
 
 
 class TestUpdates:
-    """update_v, and _DenseDual's step on mu (log weights, no prediction)."""
-
-    def test_update_v_clamps(self):
-        v = update_v(np.zeros(3), np.array([0.5, -1.0, 0.5]), 2.0, 2.0)
-        np.testing.assert_allclose(v, [-1.0, 2.0, -1.0])
-
-    def test_update_v_zero_rate_is_noop_copy(self):
-        v = np.ones(2)
-        out = update_v(v, np.array([5.0, 5.0]), 0.0, 2.0)
-        np.testing.assert_array_equal(out, v)
-        assert out is not v
+    """_DenseDual's step on mu (log weights, no prediction)."""
 
     def test_update_mu_frozen_example(self, ex3):
         mu = dense_step(dense_dual(ex3), [0.0] + [np.log(4.0)] * 5, 1.0)
@@ -371,11 +350,13 @@ class TestRun:
             assert out.trace[-1].gap < 0.5
 
     def test_rejects_prediction_of_wrong_shape(self, ex3):
-        # Shapes (6, 4) and (5, 3) against the instance's (6, 3).
-        for actions in ([2, 2, 1, 1], [2, 2, 1]):
-            bad = random_instance(len(actions), actions).transition
-            with pytest.raises(ShapeMismatch):
-                run(ex3.instance, bad, ex3.q, 10, seed=0)
+        # Shapes (6, 4) and (5, 3) against the instance's (6, 3), then the
+        # right matrix as an ndarray and as a list, neither a CsrMatrix.
+        bad = [random_instance(len(a), a).transition for a in ([2, 2, 1, 1], [2, 2, 1])]
+        dense = np.asarray(ex3.accurate_prediction)
+        for prediction in bad + [dense, dense.tolist()]:
+            with pytest.raises(ShapeMismatch, match="build_prediction"):
+                run(ex3.instance, prediction, ex3.q, 10, seed=0)
 
     def test_rejects_bad_arguments(self, ex3):
         with pytest.raises(ValueError):
@@ -451,7 +432,8 @@ class TestAgainstDenseReference:
         "mu_estimator, with_prediction",
         [("averaged", True), ("averaged", False), ("fresh", False)],
     )
-    @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001)])
+    # (50.0, 0.001) clamps v at the box's edge on most steps.
+    @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001), (50.0, 0.001)])
     def test_every_engine_variant_matches(
         self, ex3, with_prediction, mu_estimator, fixed_rates
     ):
@@ -464,6 +446,47 @@ class TestAgainstDenseReference:
         )
         assert_matches_reference(out, reference, rtol=1e-9)
 
+    @pytest.mark.parametrize(
+        "mu_estimator, with_prediction",
+        [("averaged", True), ("averaged", False), ("fresh", False)],
+    )
+    def test_empty_value_support_matches(self, with_prediction, mu_estimator):
+        # One state is the initial, the pair's and the next state of every
+        # step, so the value gradient cancels, J is empty, the adaptive value
+        # rate stays 0.0 and v stays exactly 0.
+        inst = build_instance(1, [2], [[1.0], [1.0]], [0.2, 0.9], 0.3)
+        pred = build_prediction(inst, inst.transition) if with_prediction else None
+        checkpoints = {1, 2, 3, 499, 500}
+        out = run(inst, pred, [1.0], 500, seed=4, checkpoints=checkpoints,
+                  mu_estimator=mu_estimator)
+        reference = dense_reference_run(
+            inst, pred, [1.0], 500, 4, checkpoints, mu_estimator, None
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
+        for v_bar in [point.averaged_v for point in out.trace] + [out.averaged_v]:
+            assert v_bar.tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize(
+        "mu_estimator, with_prediction",
+        [("averaged", True), ("averaged", False), ("fresh", False)],
+    )
+    def test_coinciding_draws_match(self, with_prediction, mu_estimator):
+        # With two states at least two of the three drawn states coincide on
+        # every step: J holds both states, or none when all three coincide.
+        inst = build_instance(
+            2, [2, 2], [[0.9, 0.1], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+            [0.1, 0.6, 0.9, 0.3], 0.6,
+        )
+        pred = (build_prediction(inst, [[0.8, 0.2], [1.0, 0.0], [0.5, 0.5], [0.1, 0.9]])
+                if with_prediction else None)
+        q = [0.8, 0.2]
+        checkpoints = {1, 2, 3, 100, 1999, 2000}
+        out = run(inst, pred, q, 2000, seed=6, checkpoints=checkpoints,
+                  mu_estimator=mu_estimator)
+        reference = dense_reference_run(
+            inst, pred, q, 2000, 6, checkpoints, mu_estimator, None
+        )
+        assert_matches_reference(out, reference, rtol=1e-9)
 
     @pytest.mark.parametrize("fixed_rates", [None, (0.01, 0.001)])
     def test_one_coordinate_dual_step_matches(self, fixed_rates):
