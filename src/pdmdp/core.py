@@ -115,7 +115,7 @@ class CsrMatrix:
     another, so a column repeats once for each action that reaches it.
     Every row of a stochastic matrix has a nonzero, so the starts increase
     strictly, as np.add.reduceat needs. np.asarray(M) is the dense M; only
-    the LU of a small policy system (exact._solve) densifies. The arrays stay
+    the LU of a small policy system (exact._lu) densifies. The arrays stay
     writeable: np.bincount copies a read-only index array on every call.
     """
 

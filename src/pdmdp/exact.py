@@ -81,6 +81,14 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     return ExactSolution(v, policy, bellman_residual(instance, v))
 
 
+def _policy_probs(instance: DmdpInstance, policy: Policy) -> np.ndarray:
+    """policy.probs, checked to hold one entry per state-action pair."""
+    if policy.probs.shape != (instance.num_pairs,):
+        raise ShapeMismatch(f"policy must have length {instance.num_pairs}, "
+                            f"got {policy.probs.shape}")
+    return policy.probs
+
+
 def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, np.ndarray]:
     """(P_pi, buffer): P_pi on P's nonzeros and a buffer for P_pi.apply's out.
 
@@ -89,20 +97,18 @@ def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, n
     so that freeing it lifts glibc's adaptive trim threshold past its size and
     later checkpoints reuse its pages instead of faulting in fresh ones.
     """
-    if policy.probs.shape != (instance.num_pairs,):
-        raise ShapeMismatch(f"policy must have length {instance.num_pairs}, "
-                            f"got {policy.probs.shape}")
-    P = instance.transition
+    P, probs = instance.transition, _policy_probs(instance, policy)
     block = np.empty((2, P.cols.size))
-    np.take(policy.probs, P.rows, out=block[0], mode="clip")  # "raise" would buffer
+    np.take(probs, P.rows, out=block[0], mode="clip")  # "raise" would buffer
     block[0] *= P.vals
     starts = P.starts[np.append(instance.state_offsets, instance.num_pairs)]
     S = instance.num_states
     return CsrMatrix((S, S), starts, P.cols, block[0]), block[1]
 
 
-def _iterate(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: bool):
-    """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
+def _iterate(instance: DmdpInstance, product, b, transposed: bool):
+    """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi, given
+    product(y) = P_pi y, or P_pi^T y if transposed.
 
     Adding gamma 11^T/S to A moves its eigenvalue 1 - gamma to 1 and keeps
     the others (Brauer), so y <- rhs + G y, G = gamma (P_pi - 11^T/S),
@@ -122,8 +128,7 @@ def _iterate(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: boo
     cap = math.ceil(math.log(_ITER_RTOL / (20.0 * math.sqrt(S))) / math.log(gamma))
     y = rhs
     for _ in range(cap):
-        product = P_pi.apply_t(y) if transposed else P_pi.apply(y, out=buffer)
-        y_next = rhs + gamma * (product - y.mean())
+        y_next = rhs + gamma * (product(y) - y.mean())
         target = _ITER_RTOL * max(norm_rhs, noise * np.linalg.norm(y_next))
         if np.linalg.norm(y_next - y) <= target:
             return y_next if transposed else y_next + c * y_next.mean()
@@ -131,11 +136,9 @@ def _iterate(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: boo
     raise SingularSystem(f"policy system not solved to {_ITER_RTOL} in {cap} products")
 
 
-def _solve(instance: DmdpInstance, P_pi: CsrMatrix, buffer, b, transposed: bool):
-    """_iterate from _ITER_MIN_STATES on, LU on the dense A = I - gamma P_pi below."""
+def _lu(instance: DmdpInstance, P_pi: CsrMatrix, b, transposed: bool):
+    """_iterate's system solved by LU on the dense A, below _ITER_MIN_STATES."""
     S = instance.num_states
-    if S >= _ITER_MIN_STATES:
-        return _iterate(instance, P_pi, buffer, b, transposed)
     A = np.asarray(P_pi)
     A *= -instance.discount
     A.ravel()[:: S + 1] += 1.0
@@ -149,7 +152,10 @@ def policy_evaluation(instance: DmdpInstance, policy: Policy) -> np.ndarray:
     """Value vector of a policy: the solution of (I - gamma P_pi) v = r_pi."""
     P_pi, buffer = _policy_matrix(instance, policy)
     r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
-    v = _solve(instance, P_pi, buffer, r_pi, transposed=False)
+    if instance.num_states < _ITER_MIN_STATES:
+        v = _lu(instance, P_pi, r_pi, transposed=False)
+    else:
+        v = _iterate(instance, lambda y: P_pi.apply(y, out=buffer), r_pi, transposed=False)
     if np.abs(v - instance.discount * P_pi.apply(v, out=buffer) - r_pi).max() > 1e-9:
         raise SingularSystem("policy evaluation residual exceeds 1e-9")
     return v
@@ -164,7 +170,14 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     """
     q = check_distribution(q, instance.num_states, "q")
     b = (1.0 - instance.discount) * q
-    lam = _solve(instance, *_policy_matrix(instance, policy), b, transposed=True)
+    if instance.num_states < _ITER_MIN_STATES:
+        lam = _lu(instance, _policy_matrix(instance, policy)[0], b, transposed=True)
+    else:
+        # P_pi^T y = P^T (pi * y[pair_state]), taken in pair space on P itself:
+        # no P_pi is built, and a product allocates one nnz-sized array.
+        P, pair_state = instance.transition, instance.pair_state
+        probs = _policy_probs(instance, policy)
+        lam = _iterate(instance, lambda y: P.apply_t(probs * y[pair_state]), b, transposed=True)
     mu = lam[instance.pair_state] * policy.probs
     if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < -1e-9):
         raise SingularSystem("occupancy measure left the simplex")

@@ -16,7 +16,11 @@ history-averaged one, with or without a prediction, and _LazyDual for the
 fresh one-sample one, which takes no prediction. Neither's refreshes depend
 on the horizon or the checkpoints, so run(T) is a bitwise prefix of
 run(T' > T). The value step works in Python floats on its at most three
-coordinates; the running sum of v is the value side's one O(S) pass per step.
+coordinates, and the average of v is kept by parts: with v_t the iterate
+after t steps (v_0 = 0), v_0 + ... + v_(t-1) = t v_t - sum_(u <= t) u (v_u -
+v_(u-1)). So step t adds t dv_j to v_moves[j] for each coordinate j it moves,
+and a checkpoint reads the average v - v_moves / t: the value side of a step
+does no O(S) work.
 
 Adaptive learning rates fold the current step's gradient into their
 denominators. A zero denominator means every gradient so far was zero (or
@@ -145,14 +149,17 @@ class _DenseDual:
     mu is held as log weights theta and the mirror step is theta -= eta g,
     so a coordinate whose weight underflows to 0 keeps its log weight and
     can come back. The dual gradient is dense, and so are the step, the
-    running sum of mu and the draw from mu.
+    running sum of mu and the draw from mu. That sum is kept in blocks: each
+    draw adds mu to block, which is folded into sum_mu at every refresh, so
+    its rounding grows with REFRESH_PERIOD and the block count, not with t.
     """
 
     def __init__(self, instance, prediction, v):
         n, P = instance.num_pairs, instance.transition
         self.instance, self.P, self.E = instance, P, prediction
         self.slots, self.cols = P.csc.slots, P.cols
-        self.theta, self.mu, self.sum_mu = np.zeros(n), np.full(n, 1.0 / n), np.zeros(n)
+        self.theta, self.mu = np.zeros(n), np.full(n, 1.0 / n)
+        self.sum_mu, self.block = np.zeros(n), np.zeros(n)
         self.pair_counts, self.Cv = np.zeros(n), np.zeros(n)
         self.C = np.zeros(P.vals.size)  # in CSC slot order
         self.c_rows, self.c_values = _split_columns(P.csc, self.C)
@@ -162,8 +169,8 @@ class _DenseDual:
             self.g_bar = _dual_gradient(instance, v, self.Ev)
 
     def draw(self, stream):
-        """Add mu to the running sum and draw the v-side pair from mu."""
-        self.sum_mu += self.mu
+        """Add mu to the block's sum and draw the v-side pair from mu."""
+        self.block += self.mu
         return sample_cumulative(self.mu.cumsum(), stream)
 
     def observe(self, t, pair, k, v):
@@ -191,9 +198,12 @@ class _DenseDual:
         self.theta -= self.theta.max()
         w = np.exp(self.theta)
         self.mu = w / w.sum()
+        if refresh:
+            self.sum_mu += self.block
+            self.block.fill(0.0)
 
     def sums(self):
-        return self.sum_mu
+        return self.sum_mu + self.block
 
 
 class _LazyDual:
@@ -203,11 +213,11 @@ class _LazyDual:
     gradient N (v_i - gamma v_j - r_ia) e_ia moves one coordinate of the log
     weights theta. The weights w = exp(theta) sit in a sum tree
     (sampling.SumTree) whose total is the normaliser Z, so the step and the
-    v-side draw from mu = w / Z cost O(log N). The running sum of mu is added
-    up lazily against a clock that gains 1 / Z each draw: coordinate i's sum
-    is acc[i] + w[i] * (clock - stamp[i]), and acc[i] takes that in whenever
-    w[i] changes; a checkpoint reads the sums without changing any state.
-    rebase() takes every coordinate in, shifts theta by log Z, rebuilds the
+    v-side draw from mu = w / Z cost O(log N). The running sum of mu is kept
+    by parts against a clock that gains 1 / Z each draw: coordinate i's sum
+    is acc[i] + w[i] * clock, and a change of w[i] subtracts clock * (w_new -
+    w_old) from acc[i]; a checkpoint reads the sums without changing any state.
+    rebase() takes the sums into acc, shifts theta by log Z, rebuilds the
     tree and restarts the clock. It runs every REFRESH_PERIOD steps, and at
     once whenever Z leaves a factor Z_RANGE of its value at the last rebase.
     That bounds the rounding in Z and in the clock at any horizon. The dual
@@ -227,7 +237,6 @@ class _LazyDual:
         self.z_lo, self.z_hi = total / Z_RANGE, total * Z_RANGE
         self.log_z_hi = math.log(self.z_hi)
         self.clock = 0.0
-        self.stamp = [0.0] * len(self.theta)
 
     def draw(self, stream):
         """Add mu to the running sum (tick the clock) and draw from mu."""
@@ -250,9 +259,9 @@ class _LazyDual:
             if theta[i] > self.log_z_hi:  # exp(theta[i]) alone is above the range
                 self.rebase()
             else:
-                self.acc[i] += tree.nodes[tree.size + i] * (self.clock - self.stamp[i])
-                self.stamp[i] = self.clock
-                tree.set(i, math.exp(theta[i]))
+                w = math.exp(theta[i])
+                self.acc[i] -= self.clock * (w - tree.nodes[tree.size + i])
+                tree.set(i, w)
                 if not self.z_lo <= tree.nodes[1] <= self.z_hi:
                     self.rebase()
         if refresh:
@@ -260,7 +269,7 @@ class _LazyDual:
 
     def sums(self):
         """The running sum of mu over the draws so far; changes no state."""
-        return np.array(self.acc) + self.tree.weights() * (self.clock - np.array(self.stamp))
+        return np.array(self.acc) + self.tree.weights() * self.clock
 
     def rebase(self):
         self.acc = self.sums().tolist()
@@ -358,7 +367,7 @@ def run(
     dual = _DenseDual(instance, prediction, v) if averaged else _LazyDual(instance)
     draw, observe, dual_step = dual.draw, dual.observe, dual.step
     eta_v, eta_mu = fixed_rates or (0.0, 0.0)
-    sum_v = np.zeros(num_states)
+    v_moves = [0.0] * num_states  # sum of u * dv over the steps u that moved v
     v_grad_sq_sum = 0.0
     mu_dev_sq_sum = 0.0
 
@@ -367,7 +376,6 @@ def run(
     start = time.perf_counter()
 
     for t in range(1, horizon + 1):
-        sum_v += v
         pair = draw(v_stream)
 
         # Value side: (1 - gamma) e_init + gamma e_next - e_state on its support J,
@@ -393,12 +401,13 @@ def run(
         mu_dev_sq_sum += observe(t, pair2, k2, v) ** 2
         if fixed_rates is None:
             eta_mu = mu_learning_rate(num_pairs, mu_dev_sq_sum)
-        for j, x in zip(J, v_J):
+        for j, x, dx in zip(J, v_J, dv_J):
             v[j] = x
+            v_moves[j] += t * dx
         dual_step(eta_mu, v, J, dv_J, t % REFRESH_PERIOD == 0)
 
         if t in checkpoint_set:
-            v_bar = sum_v / t
+            v_bar = v - np.array(v_moves) / t
             mu_bar = dual.sums() / t
             pol = extract_policy(instance, mu_bar)
             trace.append(
@@ -413,4 +422,4 @@ def run(
                 )
             )
 
-    return RunOutput(sum_v / horizon, dual.sums() / horizon, trace, ledger)
+    return RunOutput(v - np.array(v_moves) / horizon, dual.sums() / horizon, trace, ledger)

@@ -406,6 +406,25 @@ class TestKrylovSolve:
             tracemalloc.stop()
         assert peak < 8 * S * S / 4
 
+    def test_occupancy_peak_within_evaluation_peak(self):
+        # policy_evaluation holds P_pi and its buffer, two nnz-sized arrays;
+        # occupancy_measure takes its products in pair space and needs no more.
+        S = 2000
+        inst = random_instance(S, 4, sparsity=0.01)
+        pol = random_policy(inst, np.random.default_rng(0))
+        q = np.full(S, 1.0 / S)
+        policy_evaluation(inst, pol)  # builds the instance's cached index arrays
+        peaks = []
+        for solve in (lambda: policy_evaluation(inst, pol),
+                      lambda: occupancy_measure(inst, pol, q)):
+            tracemalloc.start()
+            try:
+                solve()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
     def test_small_instances_use_lu(self, ex3, ex3_solution):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             policy_evaluation(ex3.instance, ex3_solution.optimal_policy)
