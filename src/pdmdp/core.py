@@ -108,15 +108,11 @@ _LONG_ROW = 64
 class CsrMatrix:
     """A matrix held as its nonzeros, row by row (CSR); its fields are fixed.
 
-    Row i has columns cols[starts[i]:starts[i + 1]] and values vals there;
-    an entry of M is the sum of the values at its column. The columns of P
-    and E increase along each row, without repeats; a policy's P_pi
-    (exact._policy_matrix) lists the rows of a state's actions one after
-    another, so a column repeats once for each action that reaches it.
-    Every row of a stochastic matrix has a nonzero, so the starts increase
-    strictly, as np.add.reduceat needs. np.asarray(M) is the dense M; only
-    the LU of a small policy system (exact._lu) densifies. The arrays stay
-    writeable: np.bincount copies a read-only index array on every call.
+    Row i has columns cols[starts[i]:starts[i + 1]], strictly increasing,
+    and values vals there. Every row of a stochastic matrix has a nonzero,
+    so the starts increase strictly, as np.add.reduceat needs.
+    np.asarray(M) is the dense M, for tests. The arrays stay writeable:
+    np.bincount copies a read-only index array on every call.
     """
 
     shape: tuple[int, int]
@@ -159,13 +155,9 @@ class CsrMatrix:
         starts = np.searchsorted(self.cols[order], np.arange(self.shape[1] + 1))
         return ColumnForm(np.argsort(order), self.rows[order], self.vals[order], starts)
 
-    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """M v for a float vector v, summed over each row's nonzeros.
-
-        out, if given, is a float buffer of one value per nonzero that holds
-        the terms instead of a new array; the result is the same.
-        """
-        terms = np.take(v, self.cols, out=out, mode="clip")  # "raise" would buffer
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v for a float vector v of length shape[1], over each row's nonzeros."""
+        terms = np.take(v, self.cols, mode="clip")  # cols are in range; "raise" checks each
         terms *= self.vals
         return np.add.reduceat(terms, self.starts[:-1])
 
@@ -323,9 +315,7 @@ def build_instance(num_states, actions_per_state, transition, reward, discount):
 
     P = _validate_rows(transition, (n_pairs, num_states), "transition")
 
-    r = _array(reward, float, "reward").copy()
-    if r.shape != (n_pairs,):
-        raise ShapeMismatch(f"reward must have length {n_pairs}, got {r.shape}")
+    r = check_vector(reward, n_pairs, "reward").copy()
     if not np.all((r >= 0) & (r <= 1)):
         raise RewardOutOfRange("rewards must lie in [0, 1]")
 
@@ -385,9 +375,7 @@ class Policy:
 
 
 def build_policy(instance: DmdpInstance, probs) -> Policy:
-    p = np.array(probs, dtype=float)
-    if p.shape != (instance.num_pairs,):
-        raise ShapeMismatch(f"policy must have length {instance.num_pairs}")
+    p = check_vector(probs, instance.num_pairs, "policy")
     if np.any(p < 0):
         raise NotStochastic("policy entries must be nonnegative")
     sums = np.add.reduceat(p, instance.state_offsets)
@@ -407,11 +395,17 @@ def deterministic_policy(instance: DmdpInstance, actions) -> Policy:
     return build_policy(instance, probs)
 
 
+def check_vector(x, size: int, what: str) -> np.ndarray:
+    """x as a float vector of the given length."""
+    w = _array(x, float, what)
+    if w.shape != (size,):
+        raise ShapeMismatch(f"{what} must have length {size}, got {w.shape}")
+    return w
+
+
 def check_distribution(weights, size: int, what: str = "distribution") -> np.ndarray:
     """Validate a probability vector of the given length (1e-9 sum slack)."""
-    w = _array(weights, float, what)
-    if w.shape != (size,):
-        raise ShapeMismatch(f"{what} must have length {size}")
+    w = check_vector(weights, size, what)
     if not np.all(w >= 0):
         raise NotStochastic(f"{what} entries must be nonnegative")
     if not (abs(w.sum() - 1.0) <= 1e-9):

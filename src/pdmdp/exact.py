@@ -1,9 +1,10 @@
 """Full-knowledge oracles: value iteration, policy evaluation, occupancy measures.
 
 These are the ground-truth references for the sampling-based solvers, computed
-on the transition's nonzeros: the policy systems go to the LU below 400 states
-and to a fixed-point iteration with no S x S array from 400 on (see _iterate).
-Every product with P or with a policy's P_pi is CsrMatrix.apply or apply_t.
+on the transition's nonzeros: _solve hands a policy's system to the LU below
+400 states and to a fixed-point iteration with no S x S array from 400 on (see
+_iterate). No P_pi is built: its products are taken in pair space on P itself
+(_policy_product), with CsrMatrix.apply or apply_t.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CsrMatrix,
     DmdpInstance,
+    OutOfRange,
     Policy,
-    ShapeMismatch,
     SingularSystem,
     check_distribution,
+    check_vector,
     deterministic_policy,
 )
 
@@ -47,7 +48,9 @@ def apply_bellman(instance: DmdpInstance, v: np.ndarray) -> np.ndarray:
 
 def bellman_residual(instance: DmdpInstance, v) -> float:
     """Sup-norm distance of v from its Bellman backup; zero only at v*."""
-    v = np.asarray(v, dtype=float)
+    v = check_vector(v, instance.num_states, "v")
+    if not np.all(np.isfinite(v)):
+        raise OutOfRange("v must be finite")
     return float(np.abs(v - apply_bellman(instance, v)).max())
 
 
@@ -81,34 +84,20 @@ def value_iteration(instance: DmdpInstance, tolerance: float = DEFAULT_TOLERANCE
     return ExactSolution(v, policy, bellman_residual(instance, v))
 
 
-def _policy_probs(instance: DmdpInstance, policy: Policy) -> np.ndarray:
-    """policy.probs, checked to hold one entry per state-action pair."""
-    if policy.probs.shape != (instance.num_pairs,):
-        raise ShapeMismatch(f"policy must have length {instance.num_pairs}, "
-                            f"got {policy.probs.shape}")
-    return policy.probs
+def _policy_product(instance: DmdpInstance, probs, y, transposed: bool = False):
+    """P_pi y, or P_pi^T y if transposed, taken in pair space on P's nonzeros.
 
-
-def _policy_matrix(instance: DmdpInstance, policy: Policy) -> tuple[CsrMatrix, np.ndarray]:
-    """(P_pi, buffer): P_pi on P's nonzeros and a buffer for P_pi.apply's out.
-
-    State s's row of P_pi holds the nonzeros of its actions' rows of P,
-    weighted by pi(a|s). Both are rows of one (2, nnz) block, not two arrays,
-    so that freeing it lifts glibc's adaptive trim threshold past its size and
-    later checkpoints reuse its pages instead of faulting in fresh ones.
+    P_pi y is P y averaged over each state's actions by pi, and P_pi^T y is
+    P^T (pi * y[pair_state]); either allocates one nnz-sized array.
     """
-    P, probs = instance.transition, _policy_probs(instance, policy)
-    block = np.empty((2, P.cols.size))
-    np.take(probs, P.rows, out=block[0], mode="clip")  # "raise" would buffer
-    block[0] *= P.vals
-    starts = P.starts[np.append(instance.state_offsets, instance.num_pairs)]
-    S = instance.num_states
-    return CsrMatrix((S, S), starts, P.cols, block[0]), block[1]
+    P = instance.transition
+    if transposed:
+        return P.apply_t(probs * y[instance.pair_state])
+    return np.add.reduceat(probs * P.apply(y), instance.state_offsets)
 
 
-def _iterate(instance: DmdpInstance, product, b, transposed: bool):
-    """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi, given
-    product(y) = P_pi y, or P_pi^T y if transposed.
+def _iterate(instance: DmdpInstance, probs, b, transposed: bool):
+    """Solve A x = b, or A^T x = b if transposed, for A = I - gamma P_pi.
 
     Adding gamma 11^T/S to A moves its eigenvalue 1 - gamma to 1 and keeps
     the others (Brauer), so y <- rhs + G y, G = gamma (P_pi - 11^T/S),
@@ -128,7 +117,7 @@ def _iterate(instance: DmdpInstance, product, b, transposed: bool):
     cap = math.ceil(math.log(_ITER_RTOL / (20.0 * math.sqrt(S))) / math.log(gamma))
     y = rhs
     for _ in range(cap):
-        y_next = rhs + gamma * (product(y) - y.mean())
+        y_next = rhs + gamma * (_policy_product(instance, probs, y, transposed) - y.mean())
         target = _ITER_RTOL * max(norm_rhs, noise * np.linalg.norm(y_next))
         if np.linalg.norm(y_next - y) <= target:
             return y_next if transposed else y_next + c * y_next.mean()
@@ -136,12 +125,19 @@ def _iterate(instance: DmdpInstance, product, b, transposed: bool):
     raise SingularSystem(f"policy system not solved to {_ITER_RTOL} in {cap} products")
 
 
-def _lu(instance: DmdpInstance, P_pi: CsrMatrix, b, transposed: bool):
-    """_iterate's system solved by LU on the dense A, below _ITER_MIN_STATES."""
-    S = instance.num_states
-    A = np.asarray(P_pi)
+def _solve(instance: DmdpInstance, probs, b, transposed: bool):
+    """_iterate's system: iterated from _ITER_MIN_STATES states on, else by LU.
+
+    The LU's dense A holds, at (s, s'), the sum over s's actions a of
+    pi(a|s) P(s'|s, a), added up by one np.bincount over P's nonzeros.
+    """
+    S, P = instance.num_states, instance.transition
+    if S >= _ITER_MIN_STATES:
+        return _iterate(instance, probs, b, transposed)
+    A = np.bincount(instance.pair_state[P.rows] * S + P.cols, probs[P.rows] * P.vals, S * S)
     A *= -instance.discount
-    A.ravel()[:: S + 1] += 1.0
+    A[:: S + 1] += 1.0
+    A = A.reshape(S, S)
     try:
         return np.linalg.solve(A.T if transposed else A, b)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
@@ -150,13 +146,10 @@ def _lu(instance: DmdpInstance, P_pi: CsrMatrix, b, transposed: bool):
 
 def policy_evaluation(instance: DmdpInstance, policy: Policy) -> np.ndarray:
     """Value vector of a policy: the solution of (I - gamma P_pi) v = r_pi."""
-    P_pi, buffer = _policy_matrix(instance, policy)
-    r_pi = np.add.reduceat(policy.probs * instance.reward, instance.state_offsets)
-    if instance.num_states < _ITER_MIN_STATES:
-        v = _lu(instance, P_pi, r_pi, transposed=False)
-    else:
-        v = _iterate(instance, lambda y: P_pi.apply(y, out=buffer), r_pi, transposed=False)
-    if np.abs(v - instance.discount * P_pi.apply(v, out=buffer) - r_pi).max() > 1e-9:
+    probs = check_vector(policy.probs, instance.num_pairs, "policy")
+    r_pi = np.add.reduceat(probs * instance.reward, instance.state_offsets)
+    v = _solve(instance, probs, r_pi, transposed=False)
+    if np.abs(v - instance.discount * _policy_product(instance, probs, v) - r_pi).max() > 1e-9:
         raise SingularSystem("policy evaluation residual exceeds 1e-9")
     return v
 
@@ -169,16 +162,9 @@ def occupancy_measure(instance: DmdpInstance, policy: Policy, q) -> np.ndarray:
     and satisfies the dual LP flow constraint.
     """
     q = check_distribution(q, instance.num_states, "q")
-    b = (1.0 - instance.discount) * q
-    if instance.num_states < _ITER_MIN_STATES:
-        lam = _lu(instance, _policy_matrix(instance, policy)[0], b, transposed=True)
-    else:
-        # P_pi^T y = P^T (pi * y[pair_state]), taken in pair space on P itself:
-        # no P_pi is built, and a product allocates one nnz-sized array.
-        P, pair_state = instance.transition, instance.pair_state
-        probs = _policy_probs(instance, policy)
-        lam = _iterate(instance, lambda y: P.apply_t(probs * y[pair_state]), b, transposed=True)
-    mu = lam[instance.pair_state] * policy.probs
+    probs = check_vector(policy.probs, instance.num_pairs, "policy")
+    lam = _solve(instance, probs, (1.0 - instance.discount) * q, transposed=True)
+    mu = lam[instance.pair_state] * probs
     if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < -1e-9):
         raise SingularSystem("occupancy measure left the simplex")
     return np.clip(mu, 0.0, None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DmdpInstance, InfeasiblePoint, check_distribution
+from .core import DmdpInstance, InfeasiblePoint, check_distribution, check_vector
 
 FEASIBILITY_TOL = 1e-12
 
@@ -61,8 +61,8 @@ def exact_gradients(instance: DmdpInstance, q, v, mu):
     direction the dual ascent side descends on.
     """
     q = check_distribution(q, instance.num_states, "q")
-    v = np.asarray(v, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    v = check_vector(v, instance.num_states, "v")
+    mu = check_vector(mu, instance.num_pairs, "mu")
     g_v = (1.0 - instance.discount) * q + shifted_transition_apply_t(instance, mu)
     g_mu = -shifted_transition_apply(instance, v) - instance.reward
     return g_v, g_mu

@@ -44,6 +44,7 @@ from .core import (
     ShapeMismatch,
     build_policy,
     check_distribution,
+    check_vector,
 )
 from .exact import policy_evaluation
 from .minimax import duality_gap
@@ -286,9 +287,7 @@ def extract_policy(instance: DmdpInstance, mu_bar) -> Policy:
     The entries must be finite and nonnegative; their sum need not be 1.
     States carrying zero occupancy mass fall back to uniform over actions.
     """
-    mu_bar = np.asarray(mu_bar, dtype=float)
-    if mu_bar.shape != (instance.num_pairs,):
-        raise ShapeMismatch(f"mu_bar must have length {instance.num_pairs}, got {mu_bar.shape}")
+    mu_bar = check_vector(mu_bar, instance.num_pairs, "mu_bar")
     if not np.all((mu_bar >= 0.0) & (mu_bar < math.inf)):
         raise NotStochastic("mu_bar entries must be finite and nonnegative")
     mass = np.add.reduceat(mu_bar, instance.state_offsets)[instance.pair_state]
@@ -308,6 +307,10 @@ def default_checkpoints(horizon: int) -> list:
     return sorted(p for p in points if 1 <= p <= horizon)
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def run(
     instance: DmdpInstance,
     prediction: CsrMatrix | None,
@@ -321,17 +324,27 @@ def run(
 ) -> RunOutput:
     """Execute the primal-dual loop for `horizon` iterations.
 
-    prediction=None drops the optimistic term (predicted gradient held at
-    zero). mu_estimator is "averaged" (history reuse) or "fresh" (one new
-    sample each step, without a prediction). fixed_rates=(eta_v, eta_mu)
-    replaces the adaptive schedule; the baseline solver is exactly this
-    engine with prediction removed, fresh estimator, and fixed rates.
+    checkpoints are the steps in [1, horizon] to trace, default_checkpoints
+    by default. prediction=None drops the optimistic term (predicted
+    gradient held at zero). mu_estimator is "averaged" (history reuse) or
+    "fresh" (one new sample each step, without a prediction).
+    fixed_rates=(eta_v, eta_mu) replaces the adaptive schedule; the
+    baseline solver is exactly this engine with prediction removed, fresh
+    estimator, and fixed rates.
     """
     for name, value in (("horizon", horizon), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    try:
+        steps = default_checkpoints(horizon) if checkpoints is None else list(checkpoints)
+    except TypeError:
+        raise ValueError(f"checkpoints must be an iterable of steps, got {checkpoints!r}") from None
+    for step in steps:
+        if not (_is_integer(step) and 1 <= step <= horizon):
+            raise ValueError(f"checkpoints must be integers in [1, {horizon}], got {step!r}")
+    checkpoint_set = set(steps)
     if mu_estimator not in ("averaged", "fresh"):
         raise ValueError(f"unknown mu_estimator {mu_estimator!r}")
     if mu_estimator == "fresh" and prediction is not None:
@@ -371,7 +384,6 @@ def run(
     v_grad_sq_sum = 0.0
     mu_dev_sq_sum = 0.0
 
-    checkpoint_set = set(default_checkpoints(horizon) if checkpoints is None else checkpoints)
     trace = []
     start = time.perf_counter()
 

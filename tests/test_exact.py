@@ -10,6 +10,7 @@ from pdmdp import bench, exact, minimax, optimistic_pd
 from pdmdp.bench import CSV_COLUMNS
 from pdmdp.core import (
     CsrMatrix,
+    OutOfRange,
     ShapeMismatch,
     SingularSystem,
     build_instance,
@@ -161,6 +162,17 @@ class TestBellmanResidual:
     def test_zero_vector_single_state(self):
         assert bellman_residual(tiny_instance(), [0.0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("v", [[0.0], [0.0] * 4, [[0.0] * 3]], ids=["short", "long", "2-d"])
+    def test_wrong_length_rejected(self, ex3, v):
+        # Length 1 used to be read as v[0] at every next state.
+        with pytest.raises(ShapeMismatch, match="v must have length 3"):
+            bellman_residual(ex3.instance, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, ex3, bad):
+        with pytest.raises(OutOfRange, match="finite"):
+            bellman_residual(ex3.instance, [0.0, bad, 0.0])
+
     def test_optimal_vector(self, ex3, ex3_optimal_value):
         assert bellman_residual(ex3.instance, ex3_optimal_value) <= 1e-12
 
@@ -210,42 +222,25 @@ class TestAgainstDenseOracle:
     @given(instances_with_policies())
     @settings(max_examples=60, deadline=None)
     def test_policy_matrices(self, case):
-        # P_pi y and P_pi^T y summed over P's nonzeros against P_pi from the
+        # P_pi y and P_pi^T y taken in pair space on P against P_pi from the
         # dense N x S copy.
         inst, pol, rng = case
         P_ref, _ = dense_policy_matrices(inst, pol)
-        P_pi, buffer = exact._policy_matrix(inst, pol)
         y = rng.random(inst.num_states)
-        np.testing.assert_allclose(P_pi.apply(y, out=buffer), P_ref @ y, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(P_pi.apply_t(y), P_ref.T @ y, rtol=0, atol=1e-15)
+        for transposed, want in ((False, P_ref @ y), (True, P_ref.T @ y)):
+            got = exact._policy_product(inst, pol.probs, y, transposed)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    def test_dense_policy_matrix_sums_shared_next_states(self):
-        # Both actions of state 0 reach states 0 and 1: P_pi lists each of
-        # those columns twice in row 0, and its dense form adds them.
+    def test_lu_sums_shared_next_states(self):
+        # Both actions of state 0 reach states 0 and 1: the LU's A adds their
+        # weighted entries of P at (0, 0) and at (0, 1), as the dense P_pi does.
         P = [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
         inst = build_instance(3, [2, 1, 1], P, [0.0, 0.5, 1.0, 0.2], 0.9)
         pol = build_policy(inst, [0.3, 0.7, 1.0, 1.0])
-        P_pi, _ = exact._policy_matrix(inst, pol)
-        assert P_pi.cols[P_pi.starts[0] : P_pi.starts[1]].tolist() == [0, 1, 0, 1]
-        P_ref, _ = dense_policy_matrices(inst, pol)
-        np.testing.assert_array_equal(np.asarray(P_pi), P_ref)
-
-    def test_product_into_buffer(self):
-        # At S=1000 the buffer holds the terms: apply allocates less than
-        # half an nnz-sized array, and its result is bitwise apply's own.
-        inst = random_instance(1000, 4, sparsity=0.05)
-        pol = random_policy(inst, np.random.default_rng(0))
-        P_pi, buffer = exact._policy_matrix(inst, pol)
-        y = np.random.default_rng(1).random(inst.num_states)
-        want = P_pi.apply(y)
-        tracemalloc.start()
-        try:
-            got = P_pi.apply(y, out=buffer)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < buffer.nbytes / 2
-        assert got.tobytes() == want.tobytes()
+        q = np.array([0.2, 0.3, 0.5])
+        v_ref, mu_ref = dense_solutions(inst, pol, q)
+        np.testing.assert_allclose(policy_evaluation(inst, pol), v_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(occupancy_measure(inst, pol, q), mu_ref, rtol=0, atol=1e-15)
 
     @given(instances_with_policies())
     @settings(max_examples=40, deadline=None)
@@ -406,24 +401,23 @@ class TestKrylovSolve:
             tracemalloc.stop()
         assert peak < 8 * S * S / 4
 
-    def test_occupancy_peak_within_evaluation_peak(self):
-        # policy_evaluation holds P_pi and its buffer, two nnz-sized arrays;
-        # occupancy_measure takes its products in pair space and needs no more.
+    def test_solve_peaks_near_one_nnz_array(self):
+        # Both solves take their products in pair space on P: one product
+        # allocates one nnz-sized array, and nothing else held is as large.
         S = 2000
         inst = random_instance(S, 4, sparsity=0.01)
         pol = random_policy(inst, np.random.default_rng(0))
         q = np.full(S, 1.0 / S)
         policy_evaluation(inst, pol)  # builds the instance's cached index arrays
-        peaks = []
         for solve in (lambda: policy_evaluation(inst, pol),
                       lambda: occupancy_measure(inst, pol, q)):
             tracemalloc.start()
             try:
                 solve()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= peaks[0]
+            assert peak <= 1.25 * inst.transition.vals.nbytes
 
     def test_small_instances_use_lu(self, ex3, ex3_solution):
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:

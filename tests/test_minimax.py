@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmdp import minimax
-from pdmdp.core import InfeasiblePoint, build_instance
+from pdmdp.core import InfeasiblePoint, ShapeMismatch, build_instance
 from pdmdp.exact import occupancy_measure, value_iteration
 from pdmdp.instances import random_instance
 from pdmdp.minimax import (
@@ -100,6 +100,14 @@ class TestExactGradients:
         inst = tiny_instance()
         g_v, _ = exact_gradients(inst, [1.0], [0.3], [1.0])
         np.testing.assert_allclose(g_v, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name, size", [("v", 1), ("v", 5), ("mu", 5), ("mu", 7)])
+    def test_wrong_length_rejected(self, ex3, name, size):
+        # A length-5 v on three states used to give gradients, a length-1 v
+        # an IndexError and a mu of the wrong length numpy's bincount error.
+        args = {"v": np.zeros(3), "mu": np.full(6, 1 / 6), name: np.zeros(size)}
+        with pytest.raises(ShapeMismatch, match=f"{name} must have length"):
+            exact_gradients(ex3.instance, ex3.q, args["v"], args["mu"])
 
     def test_matches_finite_differences(self, ex3):
         rng = np.random.default_rng(7)

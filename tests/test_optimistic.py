@@ -378,6 +378,23 @@ class TestRun:
         with pytest.raises(ValueError, match=name):
             run(ex3.instance, None, ex3.q, args["horizon"], args["seed"], checkpoints=[])
 
+    @pytest.mark.parametrize(
+        "checkpoints",
+        [[0, 5], [5, 50], [2.5, 7], [True], [1, True], [7.0], [None], [[1]], 5, 5.0],
+        ids=["zero", "past-horizon", "fraction", "bool", "bool-equal-to-a-step", "float",
+             "none", "list", "integer", "float-scalar"],
+    )
+    def test_rejects_checkpoints_that_are_not_steps(self, ex3, checkpoints):
+        # At horizon 10 these used to trace only the steps in range, or step 1
+        # for True, and an integer raised TypeError.
+        with pytest.raises(ValueError, match="checkpoints must be"):
+            run(ex3.instance, None, ex3.q, 10, seed=0, checkpoints=checkpoints)
+
+    def test_accepts_ranges_and_numpy_integer_checkpoints(self, ex3):
+        steps = [point.step for checkpoints in (range(2, 11, 4), np.array([2, 6, 10]))
+                 for point in run(ex3.instance, None, ex3.q, 10, 0, checkpoints).trace]
+        assert steps == [2, 6, 10, 2, 6, 10]
+
     def test_accepts_numpy_integer_seeds_and_horizons(self, ex3):
         a = run(ex3.instance, None, ex3.q, np.int64(20), np.int32(1), checkpoints=[20])
         b = run(ex3.instance, None, ex3.q, 20, 1, checkpoints=[20])
